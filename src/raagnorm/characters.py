@@ -7,11 +7,10 @@ vertex; it factors through the abelianization. Values are exact rationals
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
-from .complexes import FlagComplex
+from .complexes import FlagComplex, load_json
 from .errors import (
     CharacterDomainError,
     NotIntegralError,
@@ -166,11 +165,7 @@ def require_primitive(phi: Character):
 
 
 def parse_character(text: str) -> Character:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return character_from_json_doc(doc)
+    return character_from_json_doc(load_json(text))
 
 
 def character_from_json_doc(doc) -> Character:

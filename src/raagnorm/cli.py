@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .characters import parse_character
-from .complexes import is_chordal, parse_complex
+from .complexes import is_chordal, load_json, parse_complex
 from .errors import InvalidInput, ParseError, RaagError
 from .homology import euler_raag
 from .l2 import is_fibered, l2_betti_group
@@ -121,10 +121,7 @@ def _cmd_verify(args, cap):
     if args.suite:
         config = {}
         if args.config is not None:
-            try:
-                config = json.loads(_read(args.config, "suite config"))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"suite config: invalid JSON: {exc.msg}") from exc
+            config = load_json(_read(args.config, "suite config"), "suite config: ")
             if not isinstance(config, dict):
                 raise ParseError("suite config must be a JSON object")
         for key, value in (

@@ -29,10 +29,12 @@ class FlagComplex:
     """A finite simplicial graph; simplices are the cliques of the graph.
 
     Instances are immutable and hashable. Equality compares the vertex
-    sequence (order matters) and the edge set.
+    sequence (order matters) and the edge set. Chordality, components and
+    cut ranks are computed on first use and kept on the instance; the cache
+    takes no part in equality, hashing or ``repr``.
     """
 
-    __slots__ = ("vertices", "_index", "_adj", "_edges")
+    __slots__ = ("vertices", "_index", "_adj", "_edges", "_cache")
 
     def __init__(self, vertices, edges=()):
         verts = tuple(vertices)
@@ -65,6 +67,17 @@ class FlagComplex:
         self._index = index
         self._adj = adj
         self._edges = frozenset(edgeset)
+        self._cache = None
+
+    def _cached(self, key, compute):
+        """Per-instance memo of a derived invariant; the slot stays None
+        until the first invariant is asked for."""
+        cache = self._cache
+        if cache is None:
+            cache = self._cache = {}
+        if key not in cache:
+            cache[key] = compute(self)
+        return cache[key]
 
     # -- basic queries ----------------------------------------------------
 
@@ -92,9 +105,6 @@ class FlagComplex:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
-    def sort_key(self, v):
-        return self.index(v)
-
     def sorted(self, vs):
         """Vertices of ``vs`` in declaration order (validates membership)."""
         return tuple(sorted(vs, key=self.index))
@@ -117,22 +127,26 @@ class FlagComplex:
     # -- subcomplexes ------------------------------------------------------
 
     def induced(self, vs):
-        """Induced subcomplex on ``vs``; vertex order is inherited."""
+        """Induced subcomplex on ``vs``; vertex order is inherited.
+
+        Built from the adjacency of the kept vertices, in time proportional
+        to the result (plus sorting it).
+        """
         keep = set()
         for v in vs:
             self.index(v)
             keep.add(v)
-        verts = [v for v in self.vertices if v in keep]
-        edges = [e for e in self.edges() if e[0] in keep and e[1] in keep]
-        return FlagComplex(verts, edges)
+        idx = self._index
+        adj = self._adj
+        verts = sorted(keep, key=idx.__getitem__)
+        return FlagComplex(
+            verts, [(v, w) for v in verts for w in adj[v] & keep if idx[v] < idx[w]]
+        )
 
     def link(self, v):
         """Induced subcomplex on the neighbors of ``v``."""
-        return self.induced(self._adj[self._must(v)])
-
-    def _must(self, v):
         self.index(v)
-        return v
+        return self.induced(self._adj[v])
 
     def one_neighborhood(self, vs):
         """Vertices at distance at most one from ``vs``, in order."""
@@ -145,28 +159,19 @@ class FlagComplex:
 
     # -- connectivity ------------------------------------------------------
 
+    def _component_sets(self):
+        return self._cached("components", _component_vertex_sets)
+
     def components(self):
-        """Connected components as induced subcomplexes, by minimal vertex."""
-        seen = set()
-        comps = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            stack = [v]
-            comp = {v}
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(self.induced(comp))
-        return comps
+        """Connected components as induced subcomplexes, by minimal vertex;
+        a connected complex is its own single component."""
+        sets = self._component_sets()
+        if len(sets) == 1:
+            return [self]
+        return [self.induced(c) for c in sets]
 
     def component_count(self):
-        return len(self.components())
+        return len(self._component_sets())
 
     def is_connected(self):
         """True for exactly one component; the empty complex is not connected."""
@@ -177,8 +182,7 @@ class FlagComplex:
         self.index(v)
         if len(self.vertices) < 2:
             raise InvalidInput("cut rank needs at least two vertices")
-        rest = self.induced([u for u in self.vertices if u != v])
-        return rest.component_count() - 1
+        return self._cached("cut_ranks", _cut_ranks)[v]
 
     # -- cliques -----------------------------------------------------------
 
@@ -241,6 +245,75 @@ class FlagComplex:
         return levels
 
 
+# -- cached structure ---------------------------------------------------------
+
+
+def _component_vertex_sets(L):
+    """Vertex tuples of the components, each in declaration order, ordered by
+    minimal vertex."""
+    adj = L._adj
+    label = {}
+    groups = []
+    for v in L.vertices:
+        if v in label:
+            continue
+        c = len(groups)
+        groups.append([])
+        label[v] = c
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in label:
+                    label[w] = c
+                    stack.append(w)
+    for v in L.vertices:
+        groups[label[v]].append(v)
+    return tuple(tuple(g) for g in groups)
+
+
+def _cut_ranks(L):
+    """Cut rank of every vertex from one Hopcroft-Tarjan pass.
+
+    Deleting ``v`` leaves the other components and splits its own into one
+    piece per block (biconnected component) through ``v``; an isolated
+    vertex lies in no block. So the count after deletion is
+    ``components - 1 + blocks(v)``. The depth-first search keeps an explicit
+    stack, so long paths do not hit the recursion limit.
+    """
+    adj = L._adj
+    disc = {}
+    low = {}
+    blocks = dict.fromkeys(L.vertices, 0)
+    components = 0
+    for root in L.vertices:
+        if root in disc:
+            continue
+        components += 1
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            u, parent, todo = stack[-1]
+            for w in todo:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, u, iter(adj[w])))
+                    break
+                if w != parent and disc[w] < low[u]:
+                    low[u] = disc[w]
+            else:
+                stack.pop()
+                if parent is not None:
+                    blocks[u] += 1  # the block holding the edge to parent
+                    # That block is new at parent unless a back edge from
+                    # u's subtree climbs above parent.
+                    if low[u] >= disc[parent]:
+                        blocks[parent] += 1
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+    return {v: components + b - 2 for v, b in blocks.items()}
+
+
 # -- parsing ----------------------------------------------------------------
 
 
@@ -253,17 +326,33 @@ def parse_complex(text: str) -> FlagComplex:
     appearance (edge list).
     """
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         return _parse_json(text)
     return _parse_edge_list(text)
 
 
-def _parse_json(text):
+def load_json(text, where=""):
+    """``json.loads`` whose every failure is a :class:`ParseError`.
+
+    Besides syntax errors this covers integer literals beyond the
+    interpreter's digit limit (``ValueError``) and nesting deep enough to
+    exhaust the parser's stack (``RecursionError``). ``where`` prefixes the
+    message.
+    """
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return complex_from_json_doc(doc)
+        raise ParseError(
+            f"{where}invalid JSON at line {exc.lineno}, column {exc.colno}"
+        ) from exc
+    except ValueError as exc:
+        raise ParseError(f"{where}invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{where}invalid JSON: nested too deeply") from None
+
+
+def _parse_json(text):
+    return complex_from_json_doc(load_json(text))
 
 
 def complex_from_json_doc(doc) -> FlagComplex:
@@ -334,19 +423,82 @@ class ChordalityWitness:
 
 
 def lex_bfs(L: FlagComplex) -> tuple:
-    """Lexicographic BFS visit order; ties broken by declaration order."""
-    n = len(L.vertices)
-    label = {v: [] for v in L.vertices}
+    """Lexicographic BFS visit order; ties broken by declaration order.
+
+    Partition refinement (Rose-Tarjan-Lueker): the unvisited vertices form
+    a list of classes of equal label, largest label first, each kept in
+    declaration order. Visiting ``v`` moves its unvisited neighbors of each
+    class into a new class just ahead of it. Every vertex and every edge is
+    handled a bounded number of times.
+    """
+    verts = L.vertices
+    adj = L._adj
+    # Neighbor lists in declaration order, so each new class is born sorted.
+    ordered = {v: [] for v in verts}
+    for u in verts:
+        for w in adj[u]:
+            ordered[w].append(u)
+    # Class c: members[c] (declaration order, with stale entries of vertices
+    # that left), start[c] (first possibly live entry), size[c] (live count),
+    # prev[c]/nxt[c] (neighbors in the class list). where[v] is v's class,
+    # or -1 once visited.
+    members = [list(verts)]
+    start = [0]
+    size = [len(verts)]
+    prev = [-1]
+    nxt = [-1]
+    head = 0 if verts else -1
+    where = dict.fromkeys(verts, 0)
+
+    def unlink(c):
+        nonlocal head
+        p, q = prev[c], nxt[c]
+        if p < 0:
+            head = q
+        else:
+            nxt[p] = q
+        if q >= 0:
+            prev[q] = p
+
     order = []
-    unvisited = set(L.vertices)
-    for step in range(n):
-        best = max(unvisited, key=lambda v: (label[v], -L.index(v)))
-        unvisited.discard(best)
-        order.append(best)
-        stamp = n - step
-        for w in L._adj[best]:
-            if w in unvisited:
-                label[w].append(stamp)
+    while head >= 0:
+        c = head
+        row = members[c]
+        i = start[c]
+        while where[row[i]] != c:
+            i += 1
+        v = row[i]
+        start[c] = i + 1
+        where[v] = -1
+        order.append(v)
+        size[c] -= 1
+        if not size[c]:
+            unlink(c)
+        split = {}
+        for w in ordered[v]:
+            x = where[w]
+            if x < 0:
+                continue
+            y = split.get(x)
+            if y is None:
+                y = split[x] = len(members)
+                members.append([])
+                start.append(0)
+                size.append(0)
+                p = prev[x]
+                prev.append(p)
+                nxt.append(x)
+                prev[x] = y
+                if p < 0:
+                    head = y
+                else:
+                    nxt[p] = y
+            members[y].append(w)
+            size[y] += 1
+            where[w] = y
+            size[x] -= 1
+            if not size[x]:
+                unlink(x)
     return tuple(order)
 
 
@@ -435,8 +587,13 @@ def is_chordal(L: FlagComplex) -> ChordalityWitness:
 
     The candidate ordering comes from lex-BFS (reversed visit order); the
     elimination check, not the search, is what decides. On failure the
-    failing triple is walked to an induced cycle of length >= 4.
+    failing triple is walked to an induced cycle of length >= 4. The
+    witness is computed once per complex and then reused.
     """
+    return L._cached("chordality", _chordality)
+
+
+def _chordality(L):
     peo = tuple(reversed(lex_bfs(L)))
     bad = _peo_violation(L, peo)
     if bad is None:

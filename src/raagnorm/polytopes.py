@@ -18,6 +18,8 @@ from .complexes import FlagComplex, require_chordal
 from .errors import AmbientMismatchError, DisconnectedError, NotOneEndedError, ParseError
 from .rationals import format_rational
 
+ZERO = Fraction(0)
+
 
 def _canonical_direction(vec):
     """Primitive, sign-canonical direction and its multiplier.
@@ -151,14 +153,21 @@ def thickness(z: ZonotopeElement, phi: Character) -> Fraction:
     if phi.support_domain != frozenset(z.ambient):
         raise AmbientMismatchError("character domain does not match the ambient")
     values = [phi.value(v) for v in z.ambient]
-    total = Fraction(0)
+    total = ZERO
     for d, c in z.coeffs.items():
-        pairing = sum((x * q for x, q in zip(d, values)), start=Fraction(0))
+        pairing = sum((x * values[i] for i, x in enumerate(d) if x), start=ZERO)
         total += c * abs(pairing)
     return total
 
 
 # -- the polytope of a one-ended coherent group --------------------------------
+
+
+def _unit(n, i, value, zero):
+    """The length-``n`` tuple with ``value`` at ``i`` and ``zero`` elsewhere."""
+    row = [zero] * n
+    row[i] = value
+    return tuple(row)
 
 
 def require_one_ended_coherent(L: FlagComplex):
@@ -171,6 +180,7 @@ def require_one_ended_coherent(L: FlagComplex):
 
 
 def cut_rank_weights(L: FlagComplex) -> dict:
+    """Cut rank of every vertex (computed once per complex)."""
     return {v: L.cut_rank(v) for v in L.vertices}
 
 
@@ -181,13 +191,11 @@ def l2_polytope(L: FlagComplex) -> ZonotopeElement:
     a single polytope (all coefficients are nonnegative).
     """
     require_one_ended_coherent(L)
-    n = len(L.vertices)
-    gens = []
-    for i, v in enumerate(L.vertices):
-        w = L.cut_rank(v)
-        if w:
-            e = tuple(1 if j == i else 0 for j in range(n))
-            gens.append((e, w))
+    gens = [
+        (_unit(len(L.vertices), i, 1, 0), w)
+        for i, w in enumerate(cut_rank_weights(L).values())
+        if w
+    ]
     return ZonotopeElement(L.vertices, gens)
 
 
@@ -206,9 +214,7 @@ def thurston_norm(L: FlagComplex, phi):
     weights = cut_rank_weights(L)
     if isinstance(phi, Character):
         check_domain(phi, L)
-        return sum(
-            (weights[v] * abs(phi.value(v)) for v in L.vertices), start=Fraction(0)
-        )
+        return sum((w * abs(phi.value(v)) for v, w in weights.items() if w), start=ZERO)
     if frozenset(phi) != frozenset(L.vertices):
         raise AmbientMismatchError("mapping keys must be exactly the vertex set")
     return float(sum(weights[v] * abs(float(phi[v])) for v in L.vertices))
@@ -256,13 +262,10 @@ def norm_ball(L: FlagComplex) -> NormBall:
     n = len(L.vertices)
     bounded = []
     lineality = []
-    for i, v in enumerate(L.vertices):
-        w = weights[v]
+    for i, w in enumerate(weights.values()):
         if w:
             for sign in (1, -1):
-                bounded.append(
-                    tuple(Fraction(sign, w) if j == i else Fraction(0) for j in range(n))
-                )
+                bounded.append(_unit(n, i, Fraction(sign, w), ZERO))
         else:
-            lineality.append(tuple(1 if j == i else 0 for j in range(n)))
+            lineality.append(_unit(n, i, 1, 0))
     return NormBall(L.vertices, weights, tuple(bounded), tuple(lineality))

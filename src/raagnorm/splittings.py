@@ -377,10 +377,11 @@ def _connected_dual(L, phi, cap):
     node_labels += [
         {"role": "complement", "vertices": list(c.vertices)} for c in complements
     ]
+    comp_sets = [set(c.vertices) for c in complements]
     bip_edges = []
     for i, hood in enumerate(hoods):
-        for j, comp in enumerate(complements):
-            inter = [v for v in hood if v in set(comp.vertices)]
+        for j, members in enumerate(comp_sets):
+            inter = [v for v in hood if v in members]
             if not inter:
                 continue
             for piece in L.induced(inter).components():
@@ -402,9 +403,10 @@ def _connected_dual(L, phi, cap):
         parent[ra] = rb
     if len(bip_edges) != n_nodes - 1:
         raise AssertionError("block/complement intersection graph is disconnected")
+    hood_sets = [set(h) for h in hoods]
     for i in range(len(hoods)):
         for i2 in range(i + 1, len(hoods)):
-            overlap = [v for v in hoods[i] if v in set(hoods[i2])]
+            overlap = [v for v in hoods[i] if v in hood_sets[i2]]
             if overlap and L.induced(overlap).component_count() != 1:
                 raise AssertionError("block neighborhoods meet in a disconnected set")
 

@@ -66,6 +66,25 @@ def brute_chordal(L):
     return True
 
 
+def recount_cut_rank(L, v):
+    """Components left after deleting ``v``, minus one, by a fresh search."""
+    seen = {v}
+    count = 0
+    for s in L.vertices:
+        if s in seen:
+            continue
+        count += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in L.neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count - 1
+
+
 def dense_fraction_rank(rows, ncols):
     """Gaussian elimination over Fraction on a dense copy."""
     matrix = []

@@ -301,3 +301,36 @@ def test_clique_cap_env(files, capsys, monkeypatch):
     monkeypatch.setenv("RAAG_CLIQUE_CAP", "zz")
     code, out = run(capsys, "analyze", "--complex", files("c4.json", C4))
     assert code == 2
+
+
+def test_json_array_complex_is_a_parse_error(files, capsys):
+    code, out = run(capsys, "analyze", "--complex", files("arr.json", "  []\n"))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "parse", "detail": "top level: expected an object"
+    }
+
+
+def test_oversized_integer_in_complex_exit_two(files, capsys):
+    text = '{"vertices": [' + "7" * 5000 + '], "edges": []}'
+    code, out = run(capsys, "analyze", "--complex", files("big.json", text))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "parse"
+
+
+def test_deeply_nested_character_exit_two(files, capsys):
+    deep = "[" * 200_000 + "]" * 200_000
+    code, out = run(
+        capsys, "norm", "--complex", files("p3.json", P3), "--char", files("deep.json", deep)
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000, '{"samples": ' + "9" * 5000 + "}"], ids=["nested", "big_int"]
+)
+def test_unreadable_suite_config_exit_two(files, capsys, text):
+    code, out = run(capsys, "verify", "--suite", "--config", files("cfg.json", text))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "parse"

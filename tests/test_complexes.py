@@ -1,7 +1,13 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_chordal, brute_maximal_cliques, is_clique, separates
+from oracles import (
+    brute_chordal,
+    brute_maximal_cliques,
+    is_clique,
+    recount_cut_rank,
+    separates,
+)
 from raagnorm import (
     CliqueCapError,
     DisconnectedError,
@@ -13,6 +19,7 @@ from raagnorm import (
     clique_tree,
     find_separating_clique,
     is_chordal,
+    lex_bfs,
     parse_complex,
     random_chordal,
     verify_induced_cycle,
@@ -31,6 +38,15 @@ def random_graph(n, seed, density_percent=40):
         if rng.below(100) < density_percent
     ]
     return FlagComplex(names, edges)
+
+
+@st.composite
+def graphs(draw, max_n=10):
+    """Small graphs of any shape (isolated vertices, several components,
+    holes) with a shuffled declaration order."""
+    n = draw(st.integers(0, max_n))
+    L = random_graph(n, draw(st.integers(0, 2**32)), draw(st.integers(0, 100)))
+    return FlagComplex(draw(st.permutations(L.vertices)), L.edges())
 
 
 # -- parsing -------------------------------------------------------------------
@@ -236,12 +252,92 @@ def test_cut_rank(p3, star3, tt):
         p3.cut_rank("zz")
 
 
-def test_cut_rank_matches_component_recount():
-    for seed in range(20):
-        L = random_chordal(8, seed)
+@settings(max_examples=150, deadline=None)
+@given(L=graphs())
+def test_cut_rank_matches_component_recount(L):
+    assume(len(L) >= 2)
+    for v in L.vertices:
+        assert L.cut_rank(v) == recount_cut_rank(L, v)
+
+
+def test_cut_rank_recount_fixed_shapes():
+    chordal = [random_chordal(8, seed) for seed in range(20)]
+    # Isolated vertices only, a hole with a pendant, and two components
+    # with an isolated vertex between them.
+    others = [
+        FlagComplex(["a", "b", "c"]),
+        FlagComplex(["a", "b", "c", "d", "e"],
+                    [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("d", "e")]),
+        FlagComplex(["a", "b", "c", "i", "x", "y", "z"],
+                    [("a", "b"), ("b", "c"), ("x", "y"), ("y", "z")]),
+    ]
+    for L in chordal + others:
         for v in L.vertices:
-            rest = L.induced([u for u in L.vertices if u != v])
-            assert L.cut_rank(v) == rest.component_count() - 1
+            assert L.cut_rank(v) == recount_cut_rank(L, v)
+    assert [others[2].cut_rank(v) for v in others[2].vertices] == [2, 3, 2, 1, 2, 3, 2]
+
+
+def filtered_induced(L, vs):
+    """The former definition: filter the parent's sorted edge list."""
+    keep = set(vs)
+    verts = [v for v in L.vertices if v in keep]
+    return FlagComplex(verts, [e for e in L.edges() if e[0] in keep and e[1] in keep])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_induced_matches_filtered_edge_list(data):
+    L = data.draw(graphs())
+    keep = data.draw(st.lists(st.sampled_from(L.vertices), unique=True)) if len(L) else []
+    for sub, ref in [(L.induced(keep), filtered_induced(L, keep))] + [
+        (L.link(v), filtered_induced(L, L.neighbors(v))) for v in L.vertices
+    ]:
+        assert sub == ref and hash(sub) == hash(ref) and repr(sub) == repr(ref)
+        assert [sub.neighbors(v) for v in sub.vertices] == [
+            ref.neighbors(v) for v in ref.vertices
+        ]
+
+
+def label_list_lex_bfs(L):
+    """The former Lex-BFS: repeatedly take the unvisited vertex with the
+    largest label list, ties by declaration order."""
+    n = len(L.vertices)
+    label = {v: [] for v in L.vertices}
+    order = []
+    unvisited = set(L.vertices)
+    for step in range(n):
+        best = max(unvisited, key=lambda v: (label[v], -L.index(v)))
+        unvisited.discard(best)
+        order.append(best)
+        for w in L.neighbors(best):
+            if w in unvisited:
+                label[w].append(n - step)
+    return tuple(order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=graphs(max_n=12))
+def test_lex_bfs_matches_label_list_reference(L):
+    assert lex_bfs(L) == label_list_lex_bfs(L)
+
+
+def test_lex_bfs_matches_label_list_reference_on_chordal():
+    for seed in range(40):
+        L = random_chordal(2 + seed % 24, seed)
+        shuffled = FlagComplex(reversed(L.vertices), L.edges())
+        for G in (L, shuffled):
+            assert lex_bfs(G) == label_list_lex_bfs(G)
+
+
+def test_cache_leaves_equality_and_hash_alone():
+    a = random_chordal(12, 5)
+    b = FlagComplex(a.vertices, a.edges())
+    c = FlagComplex(a.vertices, a.edges())
+    assert is_chordal(b).chordal and b.is_connected()
+    assert [b.cut_rank(v) for v in b.vertices] == [recount_cut_rank(b, v) for v in b.vertices]
+    assert b._cache is not None and c._cache is None
+    assert b == c and hash(b) == hash(c) and repr(b) == repr(c)
+    assert len({b, c}) == 1
 
 
 # -- separating cliques -----------------------------------------------------------

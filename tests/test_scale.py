@@ -1,0 +1,62 @@
+"""Linear-time structure at 10^3-10^4 vertices.
+
+Each input is a tree of blocks whose block counts are known by
+construction, so the semi-norm has the closed form
+sum over v of (blocks(v) - 1) * |phi(v)|, and the kernel's L2-Euler
+characteristic is its negative.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from raagnorm import Character, FlagComplex, l2_euler_kernel, thurston_norm
+from raagnorm.verify import SplitMix64
+
+
+def path(n):
+    names = [f"p{i}" for i in range(n)]
+    blocks = {v: 2 for v in names}
+    blocks[names[0]] = blocks[names[-1]] = 1
+    return FlagComplex(names, zip(names, names[1:])), blocks
+
+
+def block_tree(n, seed):
+    """Glue cliques of 2-4 vertices at single vertices, at most four blocks
+    per vertex (so every link stays far below the clique cap)."""
+    rng = SplitMix64(seed)
+    names = [f"u{i}" for i in range(n)]
+    blocks = {names[0]: 0}
+    edges = []
+    made = 1
+    while made < n:
+        size = min(2 + rng.below(3), n - made + 1)
+        hub = names[rng.below(made)]
+        while blocks[hub] >= 4:
+            hub = names[rng.below(made)]
+        clique = [hub] + names[made : made + size - 1]
+        made += size - 1
+        edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1 :]]
+        for v in clique:
+            blocks[v] = blocks.get(v, 0) + 1
+    return FlagComplex(names, edges), blocks
+
+
+def character(L):
+    values = {v: i % 7 - 3 for i, v in enumerate(L.vertices)}
+    values[L.vertices[0]] = 1  # primitive
+    return Character(values)
+
+
+@pytest.mark.parametrize("make", [lambda: path(2000), lambda: block_tree(10_000, 7)],
+                         ids=["P_2000", "block_tree_10k"])
+def test_closed_form_at_scale(make):
+    L, blocks = make()
+    phi = character(L)
+    assert [L.cut_rank(v) for v in L.vertices] == [blocks[v] - 1 for v in L.vertices]
+    expected = sum(
+        ((blocks[v] - 1) * abs(phi.value(v)) for v in L.vertices), start=Fraction(0)
+    )
+    assert expected > 0
+    assert thurston_norm(L, phi) == expected
+    assert l2_euler_kernel(L, phi) == -expected
