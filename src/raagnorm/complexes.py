@@ -374,6 +374,7 @@ def _parse_edge_list(text):
     vertices = []
     seen = set()
     edges = []
+    pairs = set()
 
     def declare(v):
         if v not in seen:
@@ -392,8 +393,10 @@ def _parse_edge_list(text):
                 raise ParseError(f"line {lineno}: self-loop at {a!r}")
             declare(a)
             declare(b)
-            if any({a, b} == {x, y} for x, y in edges):
+            pair = frozenset((a, b))
+            if pair in pairs:
                 raise ParseError(f"line {lineno}: duplicate edge {a!r}-{b!r}")
+            pairs.add(pair)
             edges.append((a, b))
         else:
             raise ParseError(f"line {lineno}: expected one or two tokens")

@@ -32,11 +32,15 @@ def _canonical_direction(vec):
         g = math.gcd(g, abs(x))
     if g == 0:
         return None
-    direction = tuple(x // g for x in vec)
+    # Tuples of vertex-count length are built from lists: tuple() over a
+    # generator grows its result by resizing, and CPython parks each resized
+    # tuple in a free list of its final length that only a full garbage
+    # collection empties, so a long run of small complexes holds on to them.
+    direction = tuple([x // g for x in vec])
     for x in direction:
         if x != 0:
             if x < 0:
-                direction = tuple(-y for y in direction)
+                direction = tuple([-y for y in direction])
             break
     return direction, g
 
@@ -56,7 +60,7 @@ class ZonotopeElement:
         n = len(self.ambient)
         acc = {}
         for vec, coeff in generators:
-            vec = tuple(int(x) for x in vec)
+            vec = tuple([int(x) for x in vec])
             if len(vec) != n:
                 raise AmbientMismatchError(
                     f"direction of length {len(vec)} in an ambient of rank {n}"

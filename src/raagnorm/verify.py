@@ -7,6 +7,7 @@ identical seeds give identical cases on every platform.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -75,23 +76,28 @@ def random_chordal(n: int, seed: int) -> FlagComplex:
 
     Built by reverse perfect elimination: each new vertex attaches to a
     nonempty clique drawn from inside an existing maximal clique, so it is
-    simplicial at insertion time.
+    simplicial at insertion time. The maximal cliques are kept as sorted
+    tuples of vertex positions, in lexicographic order: attaching the new
+    vertex to ``attach`` inside ``K`` adds ``attach + (new,)`` and removes
+    ``K`` only when ``attach == K``.
     """
     if n < 1:
         raise InvalidInput("need at least one vertex")
     rng = SplitMix64(seed)
     width = max(len(str(n - 1)), 1)
     names = [f"v{i:0{width}d}" for i in range(n)]
-    vertices = [names[0]]
+    cliques = [(0,)]
     edges = []
     for i in range(1, n):
-        current = FlagComplex(vertices, edges)
-        clique = rng.pick(current.maximal_cliques())
+        at = rng.below(len(cliques))
+        clique = cliques[at]
         size = 1 + rng.below(len(clique))
-        attach = rng.sample(clique, size)
-        vertices.append(names[i])
-        edges.extend((a, names[i]) for a in sorted(attach, key=current.index))
-    return FlagComplex(vertices, edges)
+        attach = tuple(sorted(rng.sample(clique, size)))
+        if attach == clique:
+            del cliques[at]
+        insort(cliques, attach + (i,))
+        edges.extend((names[a], names[i]) for a in attach)
+    return FlagComplex(names, edges)
 
 
 def random_character(L: FlagComplex, rng: SplitMix64, lo=-5, hi=5) -> Character:

@@ -112,6 +112,41 @@ def dense_fraction_rank(rows, ncols):
     return rank
 
 
+def bareiss_rank(rows):
+    """Rank by one-step fraction-free (Bareiss) elimination on sparse rows.
+
+    Every surviving row is rebuilt as (pivot*row - row[c]*pivot_row) /
+    previous_pivot, which stays integral (Sylvester identity).
+    """
+    rows = [dict(r) for r in rows if r]
+    rank = 0
+    prev = 1
+    while rows:
+        col = min(min(r) for r in rows)
+        pick = next(i for i, r in enumerate(rows) if col in r)
+        pivot_row = rows.pop(pick)
+        pivot = pivot_row[col]
+        rank += 1
+        nxt = []
+        for r in rows:
+            factor = r.pop(col, 0)
+            new = {}
+            for j in set(r) | set(pivot_row):
+                if j == col:
+                    continue
+                num = pivot * r.get(j, 0) - factor * pivot_row.get(j, 0)
+                if num:
+                    q, rem = divmod(num, prev)
+                    if rem:
+                        raise AssertionError("fraction-free step not integral")
+                    new[j] = q
+            if new:
+                nxt.append(new)
+        rows = nxt
+        prev = pivot
+    return rank
+
+
 def separates(L, blocked, k0, k1):
     """No path from k0 to k1 outside ``blocked`` (exhaustive BFS)."""
     k0, k1, blocked = set(k0), set(k1), set(blocked)

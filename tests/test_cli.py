@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import raagnorm
 from raagnorm import Character, GraphOfGroups, dual_splitting, parse_complex
 from raagnorm.cli import main
 
@@ -334,3 +338,42 @@ def test_unreadable_suite_config_exit_two(files, capsys, text):
     code, out = run(capsys, "verify", "--suite", "--config", files("cfg.json", text))
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "value",
+    ['"1e5000"', '"1e999999999"', '"0.5"', '"1/0"', '" 1"', '"1_000"', '"2/-3"',
+     '"' + "9" * 4301 + '"', '"1/' + "7" * 4301 + '"'],
+    ids=["exponent", "huge_exponent", "decimal", "zero_denominator", "space",
+         "underscore", "signed_denominator", "too_many_digits", "long_denominator"],
+)
+def test_unprintable_or_inexact_character_value_exit_two(files, capsys, value):
+    phi = '{"values":{"a":1,"b":' + value + ',"c":1}}'
+    code = main(["norm", "--complex", files("p3.json", P3), "--char", files("phi.json", phi)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["kind"] == "parse"
+    assert "Traceback" not in captured.err
+
+
+def test_longest_printable_character_value(files, capsys):
+    big = "9" * 4300
+    phi = '{"values":{"a":1,"b":"-' + big + '/7","c":"+1"}}'
+    code, out = run(
+        capsys, "norm", "--complex", files("p3.json", P3), "--char", files("phi.json", phi)
+    )
+    assert code == 0
+    assert json.loads(out) == {"norm": big + "/7"}
+
+
+def test_exponent_value_in_a_child_process(files):
+    src = os.path.dirname(os.path.dirname(raagnorm.__file__))
+    phi = files("phi.json", '{"values":{"a":1,"b":"1e5000","c":1}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "raagnorm.cli", "norm", "--complex", files("p3.json", P3),
+         "--char", phi],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["kind"] == "parse"
+    assert "Traceback" not in proc.stderr

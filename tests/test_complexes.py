@@ -98,6 +98,23 @@ def test_parse_errors_report_location(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_edge_list_duplicate_edge_message():
+    text = "a b\nb c\n\nc a\nc b\n"
+    with pytest.raises(ParseError) as err:
+        parse_complex(text)
+    assert str(err.value) == "line 5: duplicate edge 'c'-'b'"
+
+
+def test_edge_list_long_path():
+    n = 8000
+    text = "".join(f"p{i} p{i + 1}\n" for i in range(n))
+    L = parse_complex(text)
+    assert len(L.vertices) == n + 1
+    assert len(L.edges()) == n
+    with pytest.raises(ParseError, match=f"line {n + 1}: duplicate edge"):
+        parse_complex(text + f"p{n} p{n - 1}\n")
+
+
 def test_json_roundtrip(tt):
     assert parse_complex(__import__("json").dumps(tt.to_json_doc())) == tt
 

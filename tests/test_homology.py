@@ -1,9 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_fraction_rank
-from raagnorm import FlagComplex, euler_raag, random_chordal, rank_sparse_int, reduced_betti
+from oracles import bareiss_rank, dense_fraction_rank
+from raagnorm import (
+    FlagComplex,
+    euler_raag,
+    plant_cycle,
+    random_chordal,
+    rank_sparse_int,
+    reduced_betti,
+)
 from raagnorm.homology import boundary_rows
+from test_complexes import random_graph
 
 
 def octahedron():
@@ -40,6 +48,57 @@ def test_rank_known_matrices():
     assert rank_sparse_int([]) == 0
     assert rank_sparse_int([{0: 1, 1: 1}, {0: 2, 1: 2}]) == 1
     assert rank_sparse_int([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
+
+
+@st.composite
+def int_matrices(draw, max_size=12):
+    """Sparse integer matrices up to max_size x max_size with entries in
+    -4..4, plus repeated rows, scalar multiples and all-zero rows (empty or
+    with explicit zeros), in any order."""
+    ncols = draw(st.integers(0, max_size))
+    if ncols:
+        row = st.dictionaries(st.integers(0, ncols - 1), st.integers(-4, 4), max_size=ncols)
+    else:
+        row = st.just({})
+    rows = draw(st.lists(row, max_size=max_size))
+    for i, k in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(-2, 2)), max_size=4)):
+        if rows:
+            rows.append({j: k * x for j, x in rows[i % len(rows)].items()})
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_rank_matches_dense_fraction_elimination_up_to_12x12(matrix):
+    rows, ncols = matrix
+    assert rank_sparse_int(rows) == dense_fraction_rank(rows, ncols)
+
+
+def test_rank_with_leading_entries_other_than_one():
+    # leading entries 6 and 4: gcd 2, combination 3*r2 - 2*r1, content 3
+    rows = [{0: 3, 2: 6}, {1: 5, 2: 4}]
+    assert rank_sparse_int(rows) == 2
+    # the third row is 3*r1 - r2
+    assert rank_sparse_int(rows + [{0: 9, 1: -5, 2: 14}]) == 2
+    assert rank_sparse_int(rows + [{0: 9, 1: -5, 2: 15}]) == 3
+    # a 3/2 multiple vanishes after one gcd-scaled step
+    assert rank_sparse_int([{0: 6, 1: 4}, {0: 9, 1: 6}]) == 1
+    assert rank_sparse_int([{0: -6, 1: -4}, {0: 9, 1: 6}, {0: 1}]) == 2
+    for extra in ([], [{0: 7}], [{1: -2, 2: 10}]):
+        m = rows + [{0: 9, 1: -5, 2: 14}] + extra
+        assert rank_sparse_int(m) == dense_fraction_rank(m, 3) == bareiss_rank(m)
+
+
+def test_rank_matches_bareiss_on_boundary_matrices():
+    for seed in range(40):
+        G = random_graph(6 + seed % 7, seed, 30 + (seed * 7) % 55)
+        L = plant_cycle(G, 4 + seed % 4, "h")
+        for K in [L] + [L.link(v) for v in L.vertices]:
+            levels = K.simplices_by_dim()
+            for d in range(1, len(levels)):
+                rows = boundary_rows(levels, d)
+                assert rank_sparse_int(rows) == bareiss_rank(rows)
 
 
 # -- reduced Betti numbers --------------------------------------------------------

@@ -1,16 +1,27 @@
-"""Linear-time structure at 10^3-10^4 vertices.
+"""Linear-time structure at 10^3-10^4 vertices, and exact homology on the
+largest dense complexes the clique cap admits.
 
-Each input is a tree of blocks whose block counts are known by
+Each sparse input is a tree of blocks whose block counts are known by
 construction, so the semi-norm has the closed form
 sum over v of (blocks(v) - 1) * |phi(v)|, and the kernel's L2-Euler
-characteristic is its negative.
+characteristic is its negative. The dense input is a fifth power of a path
+(contractible) with an induced 6-cycle hung off it by one edge, whose
+homology has closed forms too.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from raagnorm import Character, FlagComplex, l2_euler_kernel, thurston_norm
+from raagnorm import (
+    Character,
+    FlagComplex,
+    l2_betti_kernel,
+    l2_euler_kernel,
+    plant_cycle,
+    reduced_betti,
+    thurston_norm,
+)
 from raagnorm.verify import SplitMix64
 
 
@@ -60,3 +71,44 @@ def test_closed_form_at_scale(make):
     assert expected > 0
     assert thurston_norm(L, phi) == expected
     assert l2_euler_kernel(L, phi) == -expected
+
+
+def path_power_with_hole(n, k, hole):
+    names = [f"p{i}" for i in range(n)]
+    edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, min(n, i + k + 1))]
+    return plant_cycle(FlagComplex(names, edges), hole, "h")
+
+
+def link_components(L, v):
+    """Components of the subgraph induced on the neighbours of v, by search."""
+    around = set(L.neighbors(v))
+    seen = set()
+    count = 0
+    for s in around:
+        if s in seen:
+            continue
+        count += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in L.neighbors(u):
+                if w in around and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def test_dense_homology_closed_forms():
+    # 58 + 6 = 64 vertices, the default clique cap; cliques of size 6
+    L = path_power_with_hole(58, 5, 6)
+    phi = character(L)
+    assert reduced_betti(L).betti == (0, 0, 1, 0, 0, 0, 0)
+    b1 = sum(
+        (abs(phi.value(v)) * (link_components(L, v) - 1) for v in L.vertices),
+        start=Fraction(0),
+    )
+    assert b1 > 0
+    kernel = l2_betti_kernel(L, phi)
+    assert kernel[1] == b1
+    assert sum(kernel) == b1

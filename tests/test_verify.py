@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from oracles import brute_chordal, reference_splitmix64
@@ -50,6 +53,39 @@ def test_random_chordal_is_deterministic():
 def test_random_chordal_single_vertex():
     L = random_chordal(1, 7)
     assert len(L.vertices) == 1
+
+
+# sha256 prefixes of random_chordal(n, seed) over RANDOM_CHORDAL_SEEDS, pinned
+# from the generator that rebuilt the maximal cliques at every step.
+RANDOM_CHORDAL_SEEDS = (0, 1, 2, 7, 12345)
+RANDOM_CHORDAL_HASHES = {
+    1: "580606e4f1c0cfa0",
+    2: "5f744686ee833382",
+    3: "66945a38ff34b16d",
+    7: "ee9b255974ed6860",
+    16: "c24239decaa94f8b",
+    33: "fd66a626b25b6f54",
+    64: "d73941951334146f",
+    65: "3172a085ae1e8318",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RANDOM_CHORDAL_HASHES))
+def test_random_chordal_golden_hashes(n):
+    h = hashlib.sha256()
+    for seed in RANDOM_CHORDAL_SEEDS:
+        doc = random_chordal(n, seed).to_json_doc()
+        h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest()[:16] == RANDOM_CHORDAL_HASHES[n]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_chordal_past_the_clique_cap(seed):
+    L = random_chordal(200, seed)
+    assert len(L.vertices) == 200
+    assert L.is_connected()
+    witness = is_chordal(L)
+    assert witness.chordal and verify_peo(L, witness.peo)
 
 
 def test_random_chordal_outputs_verify():
