@@ -29,9 +29,13 @@ class FlagComplex:
     """A finite simplicial graph; simplices are the cliques of the graph.
 
     Instances are immutable and hashable. Equality compares the vertex
-    sequence (order matters) and the edge set. Chordality, components and
-    cut ranks are computed on first use and kept on the instance; the cache
-    takes no part in equality, hashing or ``repr``.
+    sequence (order matters) and the edge set. These invariants are
+    computed on first use and kept on the instance: the chordality witness,
+    the component vertex sets, the cut ranks, the f-vector (simplex count
+    per dimension) and the reduced Betti numbers
+    (:func:`raagnorm.homology.reduced_betti`). Only results are kept, never
+    the simplex lists. The cache takes no part in equality, hashing or
+    ``repr``.
     """
 
     __slots__ = ("vertices", "_index", "_adj", "_edges", "_cache")
@@ -69,12 +73,17 @@ class FlagComplex:
         self._edges = frozenset(edgeset)
         self._cache = None
 
-    def _cached(self, key, compute):
-        """Per-instance memo of a derived invariant; the slot stays None
-        until the first invariant is asked for."""
+    def _memo(self):
+        """The per-instance memo of derived invariants; the slot stays None
+        until the first invariant is stored."""
         cache = self._cache
         if cache is None:
             cache = self._cache = {}
+        return cache
+
+    def _cached(self, key, compute):
+        """Memoised ``compute(self)`` under ``key``."""
+        cache = self._memo()
         if key not in cache:
             cache[key] = compute(self)
         return cache[key]
@@ -223,26 +232,49 @@ class FlagComplex:
         """All simplices, grouped by dimension, each lexicographically sorted.
 
         Level ``d`` holds the (d+1)-cliques as index-sorted tuples; the empty
-        complex yields an empty list.
+        complex yields an empty list. Each simplex grows along with its
+        candidates, the common later neighbours of its vertices in
+        declaration order (Chiba-Nishizeki): the child ``s + (w,)`` keeps
+        the candidates after ``w`` that are adjacent to ``w``. Every run
+        records the f-vector (see :meth:`f_vector`); the levels themselves
+        are not kept.
         """
         self._check_cap(cap)
+        adj = self._adj
         idx = self._index
+        # Later neighbours of each vertex, appended in declaration order.
+        later = {v: [] for v in self.vertices}
+        for u in self.vertices:
+            for w in adj[u]:
+                if idx[w] < idx[u]:
+                    later[w].append(u)
         levels = []
         cur = [(v,) for v in self.vertices]
+        cands = [later[v] for v in self.vertices]
         while cur:
             levels.append(cur)
             nxt = []
-            for s in cur:
-                last = s[-1]
-                grow = [
-                    w
-                    for w in self._adj[last]
-                    if idx[w] > idx[last] and all(w in self._adj[u] for u in s[:-1])
-                ]
-                for w in sorted(grow, key=idx.__getitem__):
+            nxt_cands = []
+            for s, cand in zip(cur, cands):
+                for i, w in enumerate(cand):
+                    near = adj[w]
                     nxt.append(s + (w,))
+                    nxt_cands.append([x for x in cand[i + 1 :] if x in near])
             cur = nxt
+            cands = nxt_cands
+        self._memo()["f_vector"] = tuple(len(level) for level in levels)
         return levels
+
+    def f_vector(self, cap=None):
+        """Number of simplices in each dimension, from dimension 0 up.
+
+        Recorded by every :meth:`simplices_by_dim` run; enumerates only when
+        none has run yet. The cap is checked on every call.
+        """
+        self._check_cap(cap)
+        if "f_vector" not in self._memo():
+            self.simplices_by_dim(cap)
+        return self._cache["f_vector"]
 
 
 # -- cached structure ---------------------------------------------------------

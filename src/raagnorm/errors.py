@@ -91,6 +91,13 @@ class SplittingError(RaagError):
     kind = "splitting"
 
 
+class ResultTooLargeError(RaagError):
+    """An exact result has more decimal digits than the interpreter
+    converts to text; the limit is in ``info["limit"]``."""
+
+    kind = "result_too_large"
+
+
 class InvalidInput(RaagError):
     """Generic precondition violation (empty/intersecting/adjacent sets,
     singleton complex where two vertices are needed, bad sizes)."""

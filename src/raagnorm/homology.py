@@ -6,6 +6,14 @@ reduction of simplicial boundary matrices (Edelsbrunner-Letscher-Zomorodian;
 Zomorodian-Carlsson), kept integral by gcd-scaled row combinations and
 division by each reduced row's content. No floating point, no fractions
 and no modular arithmetic anywhere.
+
+``reduced_betti`` reduces the boundary maps from the top dimension down
+and uses clearing (Chen-Kerber, "Persistent homology computation with a
+twist", 2011): a d-simplex that is the low (largest column) of a reduced
+row of the boundary map from dimension d+1 carries a d-cycle whose largest
+simplex it is, so its own boundary is a combination of the boundaries of
+earlier d-simplices. Its row is skipped and never built; the rank does not
+change.
 """
 
 from __future__ import annotations
@@ -30,9 +38,15 @@ def rank_sparse_int(rows, ncols=None) -> int:
     Each step touches one incoming row and one pivot row; ``ncols`` is
     accepted for symmetry and not needed.
     """
+    return len(_pivots(rows))
+
+
+def _pivots(rows):
+    """Echelon insertion of ``rows``; maps each leading column ("low") to
+    its pivot row. Rows are read, never written: a reduction builds a new
+    dict."""
     pivots = {}
     for row in rows:
-        # Rows are read, never written: a reduction builds a new dict.
         r = row if all(row.values()) else {j: x for j, x in row.items() if x}
         while r:
             col = max(r)
@@ -58,7 +72,7 @@ def rank_sparse_int(rows, ncols=None) -> int:
             c = gcd(*r.values())
             if c > 1:
                 r = {j: x // c for j, x in r.items()}
-    return len(pivots)
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -81,21 +95,24 @@ class ReducedBettiVector:
 
     def reduced_euler(self) -> int:
         """Alternating sum over dimensions, i.e. euler characteristic - 1."""
-        return sum((-1) ** (i - 1) * b for i, b in enumerate(self.betti))
+        return sum(b if i % 2 else -b for i, b in enumerate(self.betti))
 
     def to_json_doc(self):
         return {str(i - 1): b for i, b in enumerate(self.betti)}
 
 
-def boundary_rows(levels, d):
+def boundary_rows(levels, d, cleared=()):
     """Columns of the d-th boundary map as sparse rows over (d-1)-simplices.
 
     Simplices are index-sorted tuples; the sign of the face omitting
-    position i is (-1)^i.
+    position i is (-1)^i. Rows at the positions in ``cleared`` are not
+    built.
     """
     face_index = {s: i for i, s in enumerate(levels[d - 1])}
     rows = []
-    for s in levels[d]:
+    for k, s in enumerate(levels[d]):
+        if k in cleared:
+            continue
         row = {}
         for i in range(len(s)):
             face = s[:i] + s[i + 1 :]
@@ -105,21 +122,31 @@ def boundary_rows(levels, d):
 
 
 def reduced_betti(L: FlagComplex, cap=None) -> ReducedBettiVector:
-    """Exact reduced Betti numbers from augmented boundary matrices."""
-    levels = L.simplices_by_dim(cap)
+    """Exact reduced Betti numbers from augmented boundary matrices.
+
+    Computed once per complex and kept on it; the cap is checked on every
+    call.
+    """
+    L._check_cap(cap)
+    return L._cached("reduced_betti", lambda K: _reduced_betti(K.simplices_by_dim(cap)))
+
+
+def _reduced_betti(levels):
     if not levels:
         return ReducedBettiVector((1,), -1)
     top = len(levels) - 1
-    f = [len(lv) for lv in levels]
     # ranks[d] = rank of the boundary map leaving dimension d; the
-    # augmentation sends every vertex to the empty simplex.
+    # augmentation sends every vertex to the empty simplex. From the top
+    # down, the lows of one map are the rows the next one skips.
     ranks = [0] * (top + 2)
     ranks[0] = 1
-    for d in range(1, top + 1):
-        ranks[d] = rank_sparse_int(boundary_rows(levels, d))
+    cleared = ()
+    for d in range(top, 0, -1):
+        cleared = set(_pivots(boundary_rows(levels, d, cleared)))
+        ranks[d] = len(cleared)
     betti = [0] * (top + 2)
     for d in range(top + 1):
-        betti[d + 1] = f[d] - ranks[d] - ranks[d + 1]
+        betti[d + 1] = len(levels[d]) - ranks[d] - ranks[d + 1]
     return ReducedBettiVector(tuple(betti), top)
 
 
@@ -128,7 +155,7 @@ def euler_raag(L: FlagComplex, cap=None) -> int:
 
     Equals 1 minus the alternating simplex count of ``L``; the empty complex
     gives 1 (trivial group), a single clique gives 0, an edgeless complex on
-    n vertices gives 1 - n.
+    n vertices gives 1 - n. Reads the f-vector kept on ``L``, enumerating
+    the simplices only if no enumeration has run.
     """
-    levels = L.simplices_by_dim(cap)
-    return 1 - sum((-1) ** d * len(lv) for d, lv in enumerate(levels))
+    return 1 - sum((-1) ** d * f for d, f in enumerate(L.f_vector(cap)))

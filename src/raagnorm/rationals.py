@@ -4,7 +4,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, ResultTooLargeError
 
 # An optional sign and ASCII digits, optionally over more ASCII digits.
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
@@ -36,9 +36,7 @@ def parse_rational(value, where="value"):
                 'expected an integer or a "p/q" string'
             )
         sign, p, q = m.groups()
-        # Decimal int<->str conversions beyond this many digits raise
-        # ValueError (0: no limit, or an interpreter without one).
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _digit_limit()
         if limit and max(len(p), len(q or "")) > limit:
             raise ParseError(f"{where}: more than {limit} digits")
         try:
@@ -49,5 +47,27 @@ def parse_rational(value, where="value"):
 
 
 def format_rational(q):
-    """Normalized string form: "p/q" with q > 0 and gcd(p, q) = 1, or "p"."""
-    return str(Fraction(q))
+    """Normalized string form: "p/q" with q > 0 and gcd(p, q) = 1, or "p".
+
+    A numerator or denominator with more digits than the interpreter
+    converts to text raises :class:`ResultTooLargeError`; the size is
+    checked before any conversion.
+    """
+    q = Fraction(q)
+    limit = _digit_limit()
+    if limit and (_too_long(q.numerator, limit) or _too_long(q.denominator, limit)):
+        raise ResultTooLargeError(f"result has more than {limit} digits", limit=limit)
+    return str(q)
+
+
+def _digit_limit():
+    """Decimal int<->str conversions beyond this many digits raise
+    ValueError (0: no limit, or an interpreter without one)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(n, limit):
+    """More than ``limit`` decimal digits; below 8**limit needs no power of
+    ten."""
+    n = abs(n)
+    return n.bit_length() > 3 * limit and n >= 10**limit

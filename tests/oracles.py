@@ -29,6 +29,19 @@ def brute_maximal_cliques(L):
     )
 
 
+def brute_simplices_by_dim(L):
+    """Cliques by subset enumeration, one level per size up to the first
+    empty one; ``combinations`` of the declaration-ordered vertices lists
+    each level in lexicographic order of positions."""
+    levels = []
+    for size in range(1, len(L.vertices) + 1):
+        level = [c for c in combinations(L.vertices, size) if is_clique(L, c)]
+        if not level:
+            break
+        levels.append(level)
+    return levels
+
+
 def induces_cycle(L, vs):
     """True if the induced subgraph on vs is a single cycle of length >= 4."""
     vs = list(vs)

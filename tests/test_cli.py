@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import raagnorm
-from raagnorm import Character, GraphOfGroups, dual_splitting, parse_complex
+from raagnorm import Character, GraphOfGroups, ResultTooLargeError, dual_splitting, parse_complex
 from raagnorm.cli import main
+from raagnorm.rationals import format_rational
 
 P3 = '{"vertices":["a","b","c"],"edges":[["a","b"],["b","c"]]}'
 C4 = '{"vertices":["a","b","c","d"],"edges":[["a","b"],["b","c"],["c","d"],["a","d"]]}'
@@ -377,3 +379,27 @@ def test_exponent_value_in_a_child_process(files):
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["kind"] == "parse"
     assert "Traceback" not in proc.stderr
+
+
+def test_result_over_the_digit_limit_is_a_domain_error(files, capsys):
+    # The centre's cut rank is 10, so the norm has 4301 digits while every
+    # input value has at most 4300.
+    leaves = [f"l{i}" for i in range(11)]
+    star = json.dumps({"vertices": ["c"] + leaves, "edges": [["c", v] for v in leaves]})
+    values = dict.fromkeys(leaves, 1)
+    values["c"] = "9" * 4300
+    phi = json.dumps({"values": values})
+    code = main(["norm", "--complex", files("star.json", star), "--char", files("phi.json", phi)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"]["kind"] == "result_too_large"
+    assert "Traceback" not in captured.err
+
+
+def test_format_rational_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert format_rational(10**limit - 1) == "9" * limit
+    assert format_rational(Fraction(-1, 10**limit - 1)) == "-1/" + "9" * limit
+    for q in (10**limit, -(10**limit), Fraction(1, 10**limit)):
+        with pytest.raises(ResultTooLargeError):
+            format_rational(q)

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     brute_chordal,
     brute_maximal_cliques,
+    brute_simplices_by_dim,
     is_clique,
     recount_cut_rank,
     separates,
@@ -163,6 +164,14 @@ def test_simplices_by_dim_orders(k3):
     assert levels[0] == [("a",), ("b",), ("c",)]
     assert levels[1] == [("a", "b"), ("a", "c"), ("b", "c")]
     assert levels[2] == [("a", "b", "c")]
+
+
+@settings(max_examples=120, deadline=None)
+@given(L=graphs(max_n=12))
+def test_simplices_by_dim_matches_bruteforce(L):
+    levels = L.simplices_by_dim()
+    assert levels == brute_simplices_by_dim(L)
+    assert L.f_vector() == tuple(len(level) for level in levels)
 
 
 # -- chordality -------------------------------------------------------------------

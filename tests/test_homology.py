@@ -1,16 +1,20 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import bareiss_rank, dense_fraction_rank
 from raagnorm import (
+    CliqueCapError,
     FlagComplex,
     euler_raag,
+    l2_betti_group,
     plant_cycle,
     random_chordal,
     rank_sparse_int,
     reduced_betti,
 )
-from raagnorm.homology import boundary_rows
+from raagnorm.homology import _pivots, boundary_rows
 from test_complexes import random_graph
 
 
@@ -21,6 +25,24 @@ def octahedron():
         (u, v) for i, u in enumerate(vs) for v in vs[i + 1 :] if (u, v) not in opposite
     ]
     return FlagComplex(vs, edges)
+
+
+def c5(tag="c"):
+    return plant_cycle(FlagComplex([]), 5, tag)
+
+
+def suspension(L, tag="s"):
+    """Two new non-adjacent vertices joined to every vertex of ``L``."""
+    poles = [f"{tag}+", f"{tag}-"]
+    return FlagComplex(
+        list(L.vertices) + poles, L.edges() + [(p, v) for p in poles for v in L.vertices]
+    )
+
+
+def disjoint_union(*parts):
+    return FlagComplex(
+        [v for K in parts for v in K.vertices], [e for K in parts for e in K.edges()]
+    )
 
 
 # -- exact rank ---------------------------------------------------------------
@@ -99,6 +121,119 @@ def test_rank_matches_bareiss_on_boundary_matrices():
             for d in range(1, len(levels)):
                 rows = boundary_rows(levels, d)
                 assert rank_sparse_int(rows) == bareiss_rank(rows)
+
+
+def cleared_cases():
+    """Complexes with cycles in several dimensions, so that clearing skips
+    rows in the presence of real homology: random flag complexes with a
+    planted cycle and all their links, dense random graphs, spheres of
+    dimension 2 and 3, and a disjoint union with homology in dimensions 0,
+    1 and 2."""
+    cases = [octahedron(), suspension(octahedron()), suspension(suspension(c5()), "t")]
+    cases.append(disjoint_union(octahedron(), c5("h"), FlagComplex(["p"])))
+    for seed in range(30):
+        G = random_graph(6 + seed % 7, seed, 30 + (seed * 7) % 55)
+        L = plant_cycle(G, 4 + seed % 4, "h")
+        cases += [L] + [L.link(v) for v in L.vertices]
+    cases += [random_graph(11, seed, 75) for seed in range(8)]
+    return cases
+
+
+def bareiss_betti(levels):
+    """Reduced Betti numbers from full boundary matrices ranked by Bareiss."""
+    if not levels:
+        return (1,)
+    ranks = [1] + [bareiss_rank(boundary_rows(levels, d)) for d in range(1, len(levels))]
+    ranks.append(0)
+    return (0,) + tuple(len(lv) - ranks[d] - ranks[d + 1] for d, lv in enumerate(levels))
+
+
+def test_cleared_ranks_and_betti_match_bareiss_on_full_matrices():
+    skipped = 0
+    for L in cleared_cases():
+        levels = L.simplices_by_dim()
+        cleared = ()
+        for d in range(len(levels) - 1, 0, -1):
+            rows = boundary_rows(levels, d, cleared)
+            assert len(rows) == len(levels[d]) - len(cleared)
+            skipped += len(cleared)
+            full = bareiss_rank(boundary_rows(levels, d))
+            pivots = _pivots(rows)
+            assert len(pivots) == rank_sparse_int(rows) == full
+            cleared = set(pivots)
+        assert reduced_betti(L).betti == bareiss_betti(levels)
+    assert skipped > 0
+
+
+def test_higher_spheres():
+    assert reduced_betti(suspension(octahedron())).betti == (0, 0, 0, 0, 1)
+    assert reduced_betti(suspension(suspension(c5()), "t")).betti == (0, 0, 0, 0, 1)
+    union = disjoint_union(octahedron(), c5("h"), FlagComplex(["p"]))
+    assert reduced_betti(union).betti == (0, 2, 1, 1)
+
+
+def test_reduced_euler_is_an_exact_int():
+    cases = [
+        (FlagComplex([]), -1),
+        (FlagComplex(["a"]), 0),
+        (FlagComplex(["a", "b"]), 1),
+        (octahedron(), 1),
+    ]
+    for L, expected in cases:
+        value = reduced_betti(L).reduced_euler()
+        assert type(value) is int and value == expected
+
+
+# -- one computation per complex --------------------------------------------------
+
+
+def test_betti_is_kept_on_the_complex():
+    L = plant_cycle(random_chordal(12, 3), 5, "h")
+    twin = FlagComplex(L.vertices, L.edges())
+    rb = reduced_betti(L)
+    assert reduced_betti(L) is rb
+    assert euler_raag(L) == -rb.reduced_euler() == 1
+    assert twin._cache is None
+    assert L == twin and hash(L) == hash(twin) and repr(L) == repr(twin)
+    assert len({L, twin}) == 1
+    assert reduced_betti(twin) == rb and reduced_betti(twin) is not rb
+    # results only: no simplex level stays on the complex
+    assert set(L._cache) == {"f_vector", "reduced_betti"}
+
+
+def test_one_enumeration_serves_betti_group_betti_and_euler(monkeypatch):
+    enumerated = []
+    original = FlagComplex.simplices_by_dim
+
+    def counted(self, cap=None):
+        enumerated.append(self)
+        return original(self, cap)
+
+    monkeypatch.setattr(FlagComplex, "simplices_by_dim", counted)
+    L = plant_cycle(random_chordal(10, 4), 4, "h")
+    rb = reduced_betti(L)
+    assert l2_betti_group(L) == [Fraction(b) for b in rb.betti]
+    assert euler_raag(L) == 1
+    assert enumerated == [L]
+
+
+def test_cap_is_checked_before_any_kept_result():
+    names = [f"v{i}" for i in range(80)]
+    L = FlagComplex(names, list(zip(names, names[1:])))
+    assert reduced_betti(L, cap=100).betti == (0, 0, 0)
+    assert euler_raag(L, cap=100) == 0
+    assert L.f_vector(cap=100) == (80, 79)
+    for call in (reduced_betti, euler_raag, l2_betti_group, FlagComplex.f_vector):
+        with pytest.raises(CliqueCapError):
+            call(L)
+
+
+def test_euler_raag_on_a_fresh_complex_counts_simplices():
+    for L in [octahedron(), suspension(octahedron())] + cleared_cases()[4:40]:
+        twin = FlagComplex(L.vertices, L.edges())
+        levels = twin.simplices_by_dim()
+        assert euler_raag(L) == 1 - sum((-1) ** d * len(lv) for d, lv in enumerate(levels))
+        assert set(L._cache) == {"f_vector"}
 
 
 # -- reduced Betti numbers --------------------------------------------------------
