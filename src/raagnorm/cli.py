@@ -26,9 +26,7 @@ DOMAIN_EXIT = 1
 
 
 class _Usage(Exception):
-    def __init__(self, message):
-        super().__init__(message)
-        self.message = message
+    """Command-line misuse; the argument is the message."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,8 +174,13 @@ def _cmd_ball(args, cap):
     if args.svg is not None:
         if len(L.vertices) > 3:
             raise InvalidInput("SVG projection supports at most three vertices")
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_ball_svg(ball))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(_ball_svg(ball))
+        except OSError as exc:
+            raise ParseError(
+                f"cannot write SVG file {args.svg!r}: {exc.strerror}"
+            ) from exc
         print(f"wrote {args.svg}", file=sys.stderr)
     return ball.to_json_doc()
 
@@ -218,14 +221,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _Usage as exc:
-        _emit({"error": {"kind": "usage", "detail": exc.message}}, compact=False)
-        print(f"usage error: {exc.message}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
+        args = _build_parser().parse_args(argv)
         cap = _clique_cap()
         outcome = args.handler(args, cap)
         if isinstance(outcome, tuple):
@@ -235,11 +232,11 @@ def main(argv=None) -> int:
         _emit(doc, args.compact)
         return code
     except _Usage as exc:
-        _emit({"error": {"kind": "usage", "detail": exc.message}}, compact=False)
-        print(f"usage error: {exc.message}", file=sys.stderr)
+        _emit({"error": {"kind": "usage", "detail": str(exc)}}, compact=False)
+        print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except RaagError as exc:
-        _emit({"error": exc.payload()}, compact=getattr(args, "compact", False))
+        _emit({"error": exc.payload()}, compact=args.compact)
         print(f"error: {exc.detail}", file=sys.stderr)
         return USAGE_EXIT if isinstance(exc, ParseError) else DOMAIN_EXIT
 

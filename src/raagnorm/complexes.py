@@ -721,6 +721,29 @@ def find_separating_clique(L: FlagComplex, k0, k1) -> tuple:
     return result
 
 
+# -- spanning forests ----------------------------------------------------------
+
+
+def spanning_forest(n, pairs) -> list:
+    """Positions, in order, of the ``pairs`` over ``range(n)`` that join two
+    different classes (union-find): a pair left out closes a cycle."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    kept = []
+    for pos, (a, b) in enumerate(pairs):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            kept.append(pos)
+    return kept
+
+
 # -- clique trees --------------------------------------------------------------
 
 
@@ -745,20 +768,8 @@ def clique_tree(L: FlagComplex, cap=None):
             if w:
                 candidates.append((-w, i, j))
     candidates.sort()
-    parent = list(range(len(cliques)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree_edges = []
-    for _, i, j in candidates:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            tree_edges.append((i, j))
+    pairs = [(i, j) for _, i, j in candidates]
+    tree_edges = [pairs[pos] for pos in spanning_forest(len(cliques), pairs)]
     if len(tree_edges) != len(cliques) - 1:
         raise AssertionError("clique intersection graph of a connected complex is connected")
     return cliques, tree_edges

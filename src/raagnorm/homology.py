@@ -24,7 +24,7 @@ from math import gcd
 from .complexes import FlagComplex
 
 
-def rank_sparse_int(rows, ncols=None) -> int:
+def rank_sparse_int(rows) -> int:
     """Rank over Q of an integer matrix given as sparse rows (dict col->int).
 
     Echelon insertion: one pivot row is kept per leading column, taken as
@@ -35,8 +35,7 @@ def rank_sparse_int(rows, ncols=None) -> int:
     by their gcd, and the result is divided by its content (the gcd of its
     entries). The row either empties (it was dependent) or reaches a free
     leading column and is kept there. The rank is the number of kept rows.
-    Each step touches one incoming row and one pivot row; ``ncols`` is
-    accepted for symmetry and not needed.
+    Each step touches one incoming row and one pivot row.
     """
     return len(_pivots(rows))
 

@@ -94,9 +94,8 @@ def living_subcomplex(L: FlagComplex, phi: Character) -> FlagComplex:
 
 def is_fibered(L: FlagComplex, phi: Character) -> FiberingReport:
     """Finitely generated kernel test for a nonzero rational character."""
-    check_domain(phi, L)
-    require_nonzero(phi)
     living = living_subcomplex(L, phi)
+    require_nonzero(phi)
     alive = set(living.vertices)
     connected = living.is_connected()
     dominating = all(

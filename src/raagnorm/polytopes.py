@@ -138,15 +138,6 @@ class ZonotopeElement:
         return cls(ambient, gens)
 
 
-def combine(z1: ZonotopeElement, z2: ZonotopeElement) -> ZonotopeElement:
-    """Minkowski sum on the zonotope subgroup (coefficient-wise)."""
-    return z1 + z2
-
-
-def negate(z: ZonotopeElement) -> ZonotopeElement:
-    return -z
-
-
 def thickness(z: ZonotopeElement, phi: Character) -> Fraction:
     """Width of the element along ``phi``: sum of coeff * |phi(direction)|.
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import Character, check_domain, require_integral, require_nonzero
-from .complexes import FlagComplex, clique_tree, require_chordal
+from .complexes import FlagComplex, clique_tree, require_chordal, spanning_forest
 from .errors import ParseError, SplittingError
 from .homology import euler_raag
+from .l2 import living_subcomplex
 from .rationals import format_rational, parse_rational
 
 # -- group descriptors ---------------------------------------------------------
@@ -187,20 +188,9 @@ class GraphOfGroups:
             e = self.edges[i]
             if e.source == e.target:
                 raise SplittingError("a loop cannot belong to the spanning tree")
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in sorted(self.tree_edges):
-            e = self.edges[i]
-            ra, rb = find(e.source), find(e.target)
-            if ra == rb:
-                raise SplittingError("tree edges contain a cycle")
-            parent[ra] = rb
+        tree = [self.edges[i] for i in sorted(self.tree_edges)]
+        if len(spanning_forest(nv, [(e.source, e.target) for e in tree])) != len(tree):
+            raise SplittingError("tree edges contain a cycle")
         if nv and len(self.tree_edges) != nv - 1:
             raise SplittingError("tree edges do not span the vertex set")
         non_tree = set(range(len(self.edges))) - self.tree_edges
@@ -211,9 +201,6 @@ class GraphOfGroups:
     @property
     def single_vertex(self) -> bool:
         return len(self.vertex_groups) == 1
-
-    def positive_edges(self):
-        return self.edges
 
     def __eq__(self, other):
         if not isinstance(other, GraphOfGroups):
@@ -259,14 +246,10 @@ class GraphOfGroups:
         try:
             L = complex_from_json_doc(doc["complex"])
             vertex_groups = [descriptor_from_json(g) for g in doc["vertices"]]
-            edge_docs = doc["edges"]
-        except KeyError as exc:
-            raise ParseError(f"graph-of-groups document missing key {exc}") from exc
-        edges = []
-        tree = set()
-        letters = {}
-        for i, e in enumerate(edge_docs):
-            try:
+            edges = []
+            tree = set()
+            letters = {}
+            for i, e in enumerate(doc["edges"]):
                 edges.append(
                     GogEdge(
                         int(e["source"]),
@@ -275,15 +258,17 @@ class GraphOfGroups:
                         str(e["inclusion"]),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"edges[{i}]: malformed edge record") from exc
-            if e.get("tree"):
-                tree.add(i)
-            if "phi_t" in e:
-                letters[i] = parse_rational(e["phi_t"], f"edges[{i}].phi_t")
-        character = None
-        if "character" in doc:
-            character = character_from_json_doc(doc["character"])
+                if e.get("tree"):
+                    tree.add(i)
+                if "phi_t" in e:
+                    letters[i] = parse_rational(e["phi_t"], f"edges[{i}].phi_t")
+            character = None
+            if "character" in doc:
+                character = character_from_json_doc(doc["character"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(
+                f"malformed graph-of-groups document ({type(exc).__name__}: {exc})"
+            ) from exc
         return cls(L, vertex_groups, edges, tree, letters, character)
 
 
@@ -293,7 +278,7 @@ def euler_check(gog: GraphOfGroups, cap=None) -> Fraction:
         (euler_of(g, gog.complex, cap) for g in gog.vertex_groups), start=Fraction(0)
     )
     total -= sum(
-        (euler_of(e.group, gog.complex, cap) for e in gog.positive_edges()),
+        (euler_of(e.group, gog.complex, cap) for e in gog.edges),
         start=Fraction(0),
     )
     return total
@@ -352,9 +337,8 @@ class SplittingReport:
 
 def living_blocks(L: FlagComplex, phi: Character) -> list:
     """Connected components of the living subcomplex, as vertex tuples."""
-    check_domain(phi, L)
+    living = living_subcomplex(L, phi)
     require_nonzero(phi)
-    living = L.induced([v for v in L.vertices if phi.value(v) != 0])
     return [c.vertices for c in living.components()]
 
 
@@ -388,19 +372,9 @@ def _connected_dual(L, phi, cap):
                 bip_edges.append((i, len(blocks) + j, piece.vertices))
     # Treeness is a theorem for chordal input; failure means a bug here.
     n_nodes = len(blocks) + len(complements)
-    parent = list(range(n_nodes))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, _ in bip_edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise AssertionError("block/complement intersection graph has a cycle")
-        parent[ra] = rb
+    pairs = [(a, b) for a, b, _ in bip_edges]
+    if len(spanning_forest(n_nodes, pairs)) != len(pairs):
+        raise AssertionError("block/complement intersection graph has a cycle")
     if len(bip_edges) != n_nodes - 1:
         raise AssertionError("block/complement intersection graph is disconnected")
     hood_sets = [set(h) for h in hoods]
@@ -609,19 +583,9 @@ def cyclic_cover_truncation(
                 built.append((idx, i, j))
                 counts[idx] += 1
 
-    parent = {i: i for i in range(-k, k + 1)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, i, j in built:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    connected = len({find(i) for i in range(-k, k + 1)}) == 1
+    # Copies v_-k .. v_k are points 0 .. 2k of the forest.
+    lifts = [(i + k, j + k) for _, i, j in built]
+    connected = len(spanning_forest(2 * k + 1, lifts)) == 2 * k
 
     b1_vertex = b1_of(gog.vertex_groups[0], gog.complex, cap)
     vertex_rank_sum = (2 * k + 1) * b1_vertex

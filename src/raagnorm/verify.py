@@ -18,12 +18,19 @@ from .errors import (
     InvalidInput,
     NotChordalError,
     NotOneEndedError,
+    ParseError,
     RaagError,
     ZeroCharacterError,
 )
 from .homology import reduced_betti
 from .l2 import is_fibered, l2_euler_kernel
-from .polytopes import l2_polytope, norm_ball, thickness, thurston_norm
+from .polytopes import (
+    l2_polytope,
+    norm_ball,
+    require_one_ended_coherent,
+    thickness,
+    thurston_norm,
+)
 from .rationals import format_rational
 from .splittings import (
     clique_tree_splitting,
@@ -162,10 +169,9 @@ def cross_check(L: FlagComplex, phi: Character, cap=None) -> CrossCheckReport:
     require_integral(phi)
     require_nonzero(phi)
     gcd = phi.gcd()
-    applicable = (
-        L.is_connected() and len(L.vertices) >= 2 and is_chordal(L).chordal
-    )
-    if not applicable:
+    try:
+        require_one_ended_coherent(L)
+    except (DisconnectedError, NotOneEndedError, NotChordalError):
         return CrossCheckReport(L, phi, False, gcd)
     width = thickness(l2_polytope(L), phi)
     primitive, _ = phi.primitive()
@@ -578,14 +584,21 @@ def run_suite(config=None) -> dict:
     """Execute the invariant suites; a nonzero failure count fails the run.
 
     ``config`` follows ``{"samples": int, "max_n": int, "seed": int}``;
-    missing keys take defaults. The report is JSON-serializable and carries
-    counterexamples for every failed case (capped per check).
+    missing keys take defaults; an unknown key or a value that is not an
+    integer is a :class:`ParseError`. The report is JSON-serializable and
+    carries counterexamples for every failed case (capped per check).
     """
     cfg = dict(DEFAULT_SUITE_CONFIG)
     cfg.update(config or {})
-    samples = int(cfg["samples"])
-    max_n = int(cfg["max_n"])
-    seed = int(cfg["seed"])
+    extra = set(cfg) - set(DEFAULT_SUITE_CONFIG)
+    if extra:
+        raise ParseError(f"suite config: unexpected keys {sorted(extra)}")
+    for key, value in cfg.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParseError(f'suite config: "{key}" must be an integer')
+    samples = cfg["samples"]
+    max_n = cfg["max_n"]
+    seed = cfg["seed"]
 
     checks = [
         check_main_equality(samples, seed + 1, min_n=min(2, max_n + 1), max_n=max(2, max_n)),

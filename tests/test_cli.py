@@ -211,6 +211,18 @@ def test_ball_svg(files, capsys, tmp_path):
     assert code == 1
 
 
+def test_ball_svg_unwritable_path_exit_two(files, capsys):
+    code = main(
+        ["ball", "--complex", files("p3.json", P3), "--svg", "/nonexistent/dir/x.svg"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    doc = json.loads(captured.out)
+    assert doc["error"]["kind"] == "parse"
+    assert "cannot write SVG file" in doc["error"]["detail"]
+    assert "Traceback" not in captured.err
+
+
 def test_verify_single_case(files, capsys):
     code, out = run(
         capsys,
@@ -331,6 +343,23 @@ def test_deeply_nested_character_exit_two(files, capsys):
     )
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"samples": "abc"}', "samples"),
+        ('{"samples": [1]}', "samples"),
+        ('{"samples": 1.5}', "samples"),
+        ('{"samples": true}', "samples"),
+        ('{"samplez": 3}', "samplez"),
+    ],
+)
+def test_suite_config_values_are_checked(files, capsys, text, key):
+    code, out = run(capsys, "verify", "--suite", "--config", files("cfg.json", text))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "parse" and key in error["detail"]
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from raagnorm import (
     GraphOfGroups,
     NotChordalError,
     Parabolic,
+    ParseError,
     SplittingError,
     Trivial,
     ZeroCharacterError,
@@ -352,6 +353,29 @@ def test_gog_json_roundtrip(p3, tt, phi111):
         doc = gog.to_json_doc()
         json.dumps(doc)  # must be serializable
         assert GraphOfGroups.from_json_doc(doc) == gog
+
+
+def _amalgam(doc):
+    return doc["vertices"][0]
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda doc: doc.update(vertices=7),
+        lambda doc: doc.update(edges=5),
+        lambda doc: _amalgam(doc)["parts"][2].update(vertices=5),
+        lambda doc: _amalgam(doc).update(parts=3),
+        lambda doc: _amalgam(doc)["parts"][0].update(k="x"),
+    ],
+    ids=["vertices", "edges", "parabolic_vertices", "amalgam_parts", "k"],
+)
+def test_gog_from_malformed_json_doc_is_a_parse_error(p3, phi101, spoil):
+    doc = dual_splitting(p3, phi101)[0].to_json_doc()
+    assert _amalgam(doc)["parts"][2]["kind"] == "parabolic"
+    spoil(doc)
+    with pytest.raises(ParseError):
+        GraphOfGroups.from_json_doc(doc)
 
 
 # -- cyclic cover truncations ------------------------------------------------------------
