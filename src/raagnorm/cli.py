@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -50,16 +49,6 @@ def _read(path, what):
         raise ParseError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
 
 
-def _clique_cap():
-    raw = os.environ.get("RAAG_CLIQUE_CAP")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"RAAG_CLIQUE_CAP must be an integer, got {raw!r}") from None
-
-
 def _load_complex(args):
     return parse_complex(_read(args.complex, "complex"))
 
@@ -68,10 +57,10 @@ def _load_character(args):
     return parse_character(_read(args.char, "character"))
 
 
-def _cmd_analyze(args, cap):
+def _cmd_analyze(args):
     L = _load_complex(args)
     witness = is_chordal(L)
-    betti = l2_betti_group(L, cap=cap)
+    betti = l2_betti_group(L)
     doc = {
         "chordality": witness.to_json_doc(),
         "coherent": witness.chordal,
@@ -80,42 +69,40 @@ def _cmd_analyze(args, cap):
         "cut_ranks": (
             {v: L.cut_rank(v) for v in L.vertices} if len(L.vertices) >= 2 else {}
         ),
-        "euler": euler_raag(L, cap),
+        "euler": euler_raag(L),
         "l2_betti": {str(i): format_rational(b) for i, b in enumerate(betti)},
     }
     return doc
 
 
-def _cmd_fibering(args, cap):
+def _cmd_fibering(args):
     L = _load_complex(args)
     phi = _load_character(args)
     return is_fibered(L, phi).to_json_doc()
 
 
-def _cmd_norm(args, cap):
+def _cmd_norm(args):
     L = _load_complex(args)
     phi = _load_character(args)
     return {"norm": format_rational(thurston_norm(L, phi))}
 
 
-def _cmd_polytope(args, cap):
+def _cmd_polytope(args):
     L = _load_complex(args)
     return l2_polytope(L).to_json_doc()
 
 
-def _cmd_split(args, cap):
+def _cmd_split(args):
     L = _load_complex(args)
     phi = _load_character(args)
-    gog, report = dual_splitting(L, phi, cap)
+    gog, report = dual_splitting(L, phi)
     doc = {"graph_of_groups": gog.to_json_doc(), "report": report.to_json_doc()}
     if args.truncate is not None:
-        doc["truncation"] = cyclic_cover_truncation(
-            gog, phi, args.truncate, cap
-        ).to_json_doc()
+        doc["truncation"] = cyclic_cover_truncation(gog, phi, args.truncate).to_json_doc()
     return doc
 
 
-def _cmd_verify(args, cap):
+def _cmd_verify(args):
     if args.suite:
         config = {}
         if args.config is not None:
@@ -135,7 +122,7 @@ def _cmd_verify(args, cap):
         raise _Usage("verify needs --suite or both --complex and --char")
     L = _load_complex(args)
     phi = _load_character(args)
-    return cross_check(L, phi, cap).to_json_doc()
+    return cross_check(L, phi).to_json_doc()
 
 
 _SVG_TEMPLATE = """<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.5 -1.5 3 3">
@@ -168,7 +155,7 @@ def _ball_svg(ball):
     return _SVG_TEMPLATE.format(shape=shape)
 
 
-def _cmd_ball(args, cap):
+def _cmd_ball(args):
     L = _load_complex(args)
     ball = norm_ball(L)
     if args.svg is not None:
@@ -223,8 +210,7 @@ def _build_parser():
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cap = _clique_cap()
-        outcome = args.handler(args, cap)
+        outcome = args.handler(args)
         if isinstance(outcome, tuple):
             doc, code = outcome
         else:

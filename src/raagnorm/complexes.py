@@ -22,7 +22,19 @@ from .errors import (
     UnknownVertexError,
 )
 
-DEFAULT_CLIQUE_CAP = 64
+# Most simplices one clique enumeration may reach. The complete graph on 20
+# vertices has 2**20 - 1 and is the costliest complex this admits.
+SIMPLEX_BUDGET = 2**20
+
+
+def _check_budget(count):
+    """Raise :class:`CliqueCapError` once ``count`` simplices pass the budget,
+    read at call time."""
+    if count > SIMPLEX_BUDGET:
+        raise CliqueCapError(
+            f"clique enumeration passes the simplex budget {SIMPLEX_BUDGET}",
+            budget=SIMPLEX_BUDGET,
+        )
 
 
 class FlagComplex:
@@ -195,40 +207,37 @@ class FlagComplex:
 
     # -- cliques -----------------------------------------------------------
 
-    def _check_cap(self, cap):
-        cap = DEFAULT_CLIQUE_CAP if cap is None else cap
-        if len(self.vertices) > cap:
-            raise CliqueCapError(
-                f"{len(self.vertices)} vertices exceed the clique cap {cap}"
-            )
-
-    def maximal_cliques(self, cap=None):
+    def maximal_cliques(self):
         """Every maximal clique as an index-sorted tuple, lexicographically.
 
         Bron-Kerbosch with a deterministic pivot (largest candidate coverage,
-        ties by vertex order).
+        ties by vertex order). The calls wait on an explicit stack, so a large
+        clique does not hit the recursion limit. Each call but the first
+        holds a distinct nonempty clique, so their count is charged to
+        :data:`SIMPLEX_BUDGET`.
         """
-        self._check_cap(cap)
         if not self.vertices:
             return []
         adj = self._adj
         idx = self._index
         out = []
-
-        def expand(r, p, x):
+        calls = 0
+        stack = [(set(), set(self.vertices), set())]
+        while stack:
+            r, p, x = stack.pop()
             if not p and not x:
                 out.append(tuple(sorted(r, key=idx.__getitem__)))
-                return
+                continue
             pivot = max(p | x, key=lambda u: (len(p & adj[u]), -idx[u]))
             for v in sorted(p - adj[pivot], key=idx.__getitem__):
-                expand(r | {v}, p & adj[v], x & adj[v])
+                calls += 1
+                _check_budget(calls)
+                stack.append((r | {v}, p & adj[v], x & adj[v]))
                 p = p - {v}
                 x = x | {v}
-
-        expand(set(), set(self.vertices), set())
         return sorted(out, key=lambda c: tuple(idx[v] for v in c))
 
-    def simplices_by_dim(self, cap=None):
+    def simplices_by_dim(self):
         """All simplices, grouped by dimension, each lexicographically sorted.
 
         Level ``d`` holds the (d+1)-cliques as index-sorted tuples; the empty
@@ -237,9 +246,12 @@ class FlagComplex:
         declaration order (Chiba-Nishizeki): the child ``s + (w,)`` keeps
         the candidates after ``w`` that are adjacent to ``w``. Every run
         records the f-vector (see :meth:`f_vector`); the levels themselves
-        are not kept.
+        are not kept. The running simplex count is charged to
+        :data:`SIMPLEX_BUDGET` before each level is built, so an enumeration
+        over budget stops early and records nothing.
         """
-        self._check_cap(cap)
+        total = len(self.vertices)
+        _check_budget(total)
         adj = self._adj
         idx = self._index
         # Later neighbours of each vertex, appended in declaration order.
@@ -253,6 +265,8 @@ class FlagComplex:
         cands = [later[v] for v in self.vertices]
         while cur:
             levels.append(cur)
+            total += sum(map(len, cands))
+            _check_budget(total)
             nxt = []
             nxt_cands = []
             for s, cand in zip(cur, cands):
@@ -265,15 +279,14 @@ class FlagComplex:
         self._memo()["f_vector"] = tuple(len(level) for level in levels)
         return levels
 
-    def f_vector(self, cap=None):
+    def f_vector(self):
         """Number of simplices in each dimension, from dimension 0 up.
 
         Recorded by every :meth:`simplices_by_dim` run; enumerates only when
-        none has run yet. The cap is checked on every call.
+        none has run yet.
         """
-        self._check_cap(cap)
         if "f_vector" not in self._memo():
-            self.simplices_by_dim(cap)
+            self.simplices_by_dim()
         return self._cache["f_vector"]
 
 
@@ -747,7 +760,7 @@ def spanning_forest(n, pairs) -> list:
 # -- clique trees --------------------------------------------------------------
 
 
-def clique_tree(L: FlagComplex, cap=None):
+def clique_tree(L: FlagComplex):
     """Maximal cliques and a junction tree over them.
 
     Returns ``(cliques, tree_edges)`` where ``tree_edges`` are pairs of
@@ -759,7 +772,7 @@ def clique_tree(L: FlagComplex, cap=None):
     if not L.is_connected():
         raise DisconnectedError("clique tree requires a connected complex")
     require_chordal(L)
-    cliques = L.maximal_cliques(cap)
+    cliques = L.maximal_cliques()
     sets = [set(c) for c in cliques]
     candidates = []
     for i in range(len(cliques)):

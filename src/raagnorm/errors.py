@@ -32,7 +32,8 @@ class UnknownVertexError(RaagError):
 
 
 class CliqueCapError(RaagError):
-    """Vertex count exceeds the configured clique-enumeration cap."""
+    """A clique enumeration would pass ``complexes.SIMPLEX_BUDGET`` simplices,
+    which ``info["budget"]`` holds (2**20: the complete graph on 20 vertices)."""
 
     kind = "clique_cap"
 

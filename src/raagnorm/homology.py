@@ -120,14 +120,12 @@ def boundary_rows(levels, d, cleared=()):
     return rows
 
 
-def reduced_betti(L: FlagComplex, cap=None) -> ReducedBettiVector:
+def reduced_betti(L: FlagComplex) -> ReducedBettiVector:
     """Exact reduced Betti numbers from augmented boundary matrices.
 
-    Computed once per complex and kept on it; the cap is checked on every
-    call.
+    Computed once per complex and kept on it.
     """
-    L._check_cap(cap)
-    return L._cached("reduced_betti", lambda K: _reduced_betti(K.simplices_by_dim(cap)))
+    return L._cached("reduced_betti", lambda K: _reduced_betti(K.simplices_by_dim()))
 
 
 def _reduced_betti(levels):
@@ -149,7 +147,7 @@ def _reduced_betti(levels):
     return ReducedBettiVector(tuple(betti), top)
 
 
-def euler_raag(L: FlagComplex, cap=None) -> int:
+def euler_raag(L: FlagComplex) -> int:
     """Euler characteristic of the group defined by ``L``.
 
     Equals 1 minus the alternating simplex count of ``L``; the empty complex
@@ -157,4 +155,4 @@ def euler_raag(L: FlagComplex, cap=None) -> int:
     n vertices gives 1 - n. Reads the f-vector kept on ``L``, enumerating
     the simplices only if no enumeration has run.
     """
-    return 1 - sum((-1) ** d * f for d, f in enumerate(L.f_vector(cap)))
+    return 1 - sum((-1) ** d * f for d, f in enumerate(L.f_vector()))

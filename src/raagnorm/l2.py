@@ -24,23 +24,23 @@ from .complexes import FlagComplex
 from .homology import euler_raag, reduced_betti
 
 
-def l2_betti_group(L: FlagComplex, max_i=None, cap=None) -> list:
+def l2_betti_group(L: FlagComplex, max_i=None) -> list:
     """b_i of the group of ``L`` for 0 <= i <= max_i (exact rationals).
 
     ``max_i`` defaults to the top simplex dimension plus one; all higher
     entries vanish.
     """
-    rb = reduced_betti(L, cap)
+    rb = reduced_betti(L)
     if max_i is None:
         max_i = rb.top_dim + 1
     return [Fraction(rb.rank(i - 1)) for i in range(max_i + 1)]
 
 
-def l2_betti_kernel(L: FlagComplex, phi: Character, max_i=None, cap=None) -> list:
+def l2_betti_kernel(L: FlagComplex, phi: Character, max_i=None) -> list:
     """b_i of the kernel of the epimorphism given by a primitive ``phi``."""
     check_domain(phi, L)
     require_primitive(phi)
-    links = {v: reduced_betti(L.link(v), cap) for v in L.vertices}
+    links = {v: reduced_betti(L.link(v)) for v in L.vertices}
     if max_i is None:
         max_i = max((rb.top_dim for rb in links.values()), default=-1) + 2
     out = []
@@ -54,13 +54,13 @@ def l2_betti_kernel(L: FlagComplex, phi: Character, max_i=None, cap=None) -> lis
     return out
 
 
-def l2_euler_kernel(L: FlagComplex, phi: Character, cap=None) -> Fraction:
+def l2_euler_kernel(L: FlagComplex, phi: Character) -> Fraction:
     """L2-Euler characteristic of the kernel: sum of |phi(v)| * chi of the
     group of the link of v."""
     check_domain(phi, L)
     require_primitive(phi)
     return sum(
-        (abs(phi.value(v)) * euler_raag(L.link(v), cap) for v in L.vertices),
+        (abs(phi.value(v)) * euler_raag(L.link(v)) for v in L.vertices),
         start=Fraction(0),
     )
 

@@ -194,25 +194,13 @@ def l2_polytope(L: FlagComplex) -> ZonotopeElement:
     return ZonotopeElement(L.vertices, gens)
 
 
-FLOAT_NORM_ABS_TOL = 1e-12
-
-
-def thurston_norm(L: FlagComplex, phi):
-    """Semi-norm value: sum of cut_rank(v) * |phi(v)|.
-
-    ``phi`` may be a :class:`Character` (exact rational result) or a plain
-    mapping vertex -> float (float result, absolute error within
-    ``FLOAT_NORM_ABS_TOL`` of the exact value for exactly representable
-    inputs; both modes evaluate the same closed form).
-    """
+def thurston_norm(L: FlagComplex, phi: Character) -> Fraction:
+    """Semi-norm value, exactly: sum of cut_rank(v) * |phi(v)|."""
     require_one_ended_coherent(L)
-    weights = cut_rank_weights(L)
-    if isinstance(phi, Character):
-        check_domain(phi, L)
-        return sum((w * abs(phi.value(v)) for v, w in weights.items() if w), start=ZERO)
-    if frozenset(phi) != frozenset(L.vertices):
-        raise AmbientMismatchError("mapping keys must be exactly the vertex set")
-    return float(sum(weights[v] * abs(float(phi[v])) for v in L.vertices))
+    check_domain(phi, L)
+    return sum(
+        (w * abs(phi.value(v)) for v, w in cut_rank_weights(L).items() if w), start=ZERO
+    )
 
 
 @dataclass(frozen=True)

@@ -57,24 +57,22 @@ class Amalgam:
     edge_groups: tuple
 
 
-def euler_of(descriptor, L: FlagComplex, cap=None) -> Fraction:
+def euler_of(descriptor, L: FlagComplex) -> Fraction:
     """Euler characteristic of the described group."""
     if isinstance(descriptor, Parabolic):
-        return Fraction(euler_raag(L.induced(descriptor.vertices), cap))
+        return Fraction(euler_raag(L.induced(descriptor.vertices)))
     if isinstance(descriptor, BlockKernel):
         return descriptor.chi
     if isinstance(descriptor, Trivial):
         return Fraction(1)
     if isinstance(descriptor, Amalgam):
-        total = sum((euler_of(p, L, cap) for p in descriptor.parts), start=Fraction(0))
-        total -= sum(
-            (euler_of(e, L, cap) for e in descriptor.edge_groups), start=Fraction(0)
-        )
+        total = sum((euler_of(p, L) for p in descriptor.parts), start=Fraction(0))
+        total -= sum((euler_of(e, L) for e in descriptor.edge_groups), start=Fraction(0))
         return total
     raise SplittingError(f"unknown descriptor {descriptor!r}")
 
 
-def b1_of(descriptor, L: FlagComplex, cap=None) -> Fraction:
+def b1_of(descriptor, L: FlagComplex) -> Fraction:
     """First L2-Betti number of the described group.
 
     Every descriptor here names a finitely generated subgroup of a chordal
@@ -87,7 +85,7 @@ def b1_of(descriptor, L: FlagComplex, cap=None) -> Fraction:
         return Fraction(max(sub.component_count() - 1, 0))
     if isinstance(descriptor, Trivial):
         return Fraction(0)
-    e = euler_of(descriptor, L, cap)
+    e = euler_of(descriptor, L)
     return -e if e <= 0 else Fraction(0)
 
 
@@ -112,16 +110,31 @@ def descriptor_to_json(descriptor):
     raise SplittingError(f"unknown descriptor {descriptor!r}")
 
 
+def _int_field(doc, key):
+    """``doc[key]``, which must be an int and not a bool."""
+    value = doc[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f'"{key}" must be an integer')
+    return value
+
+
+def _vertex_list(doc, key):
+    """``doc[key]``, which must be a list of vertex strings, as a tuple."""
+    value = doc[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f'"{key}" must be a list of vertex strings')
+    return tuple(value)
+
+
 def descriptor_from_json(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("descriptor must be an object with a kind")
     kind = doc["kind"]
     if kind == "parabolic":
-        return Parabolic(tuple(doc["vertices"]))
+        return Parabolic(_vertex_list(doc, "vertices"))
     if kind == "block_kernel":
-        return BlockKernel(
-            tuple(doc["block"]), int(doc["k"]), parse_rational(doc["chi"], "chi")
-        )
+        chi = parse_rational(doc["chi"], "chi")
+        return BlockKernel(_vertex_list(doc, "block"), _int_field(doc, "k"), chi)
     if kind == "trivial":
         return Trivial()
     if kind == "amalgam":
@@ -149,6 +162,9 @@ class GogEdge:
     target: int
     group: object
     inclusion: str
+
+
+_INCLUSIONS = ("parabolic", "kernel", "trivial")
 
 
 class GraphOfGroups:
@@ -250,12 +266,14 @@ class GraphOfGroups:
             tree = set()
             letters = {}
             for i, e in enumerate(doc["edges"]):
+                if e["inclusion"] not in _INCLUSIONS:
+                    raise ParseError(f"edges[{i}].inclusion must be one of {_INCLUSIONS}")
                 edges.append(
                     GogEdge(
-                        int(e["source"]),
-                        int(e["target"]),
+                        _int_field(e, "source"),
+                        _int_field(e, "target"),
                         descriptor_from_json(e["group"]),
-                        str(e["inclusion"]),
+                        e["inclusion"],
                     )
                 )
                 if e.get("tree"):
@@ -272,25 +290,20 @@ class GraphOfGroups:
         return cls(L, vertex_groups, edges, tree, letters, character)
 
 
-def euler_check(gog: GraphOfGroups, cap=None) -> Fraction:
+def euler_check(gog: GraphOfGroups) -> Fraction:
     """Alternating Euler sum: vertices minus positive edges."""
-    total = sum(
-        (euler_of(g, gog.complex, cap) for g in gog.vertex_groups), start=Fraction(0)
-    )
-    total -= sum(
-        (euler_of(e.group, gog.complex, cap) for e in gog.edges),
-        start=Fraction(0),
-    )
+    total = sum((euler_of(g, gog.complex) for g in gog.vertex_groups), start=Fraction(0))
+    total -= sum((euler_of(e.group, gog.complex) for e in gog.edges), start=Fraction(0))
     return total
 
 
 # -- clique-tree splittings --------------------------------------------------------
 
 
-def clique_tree_splitting(L: FlagComplex, cap=None) -> GraphOfGroups:
+def clique_tree_splitting(L: FlagComplex) -> GraphOfGroups:
     """Tree of free abelian parabolics over the maximal cliques, with the
     clique-tree separators as edge groups."""
-    cliques, tree_pairs = clique_tree(L, cap)
+    cliques, tree_pairs = clique_tree(L)
     vertex_groups = [Parabolic(c) for c in cliques]
     edges = []
     for i, j in tree_pairs:
@@ -342,7 +355,7 @@ def living_blocks(L: FlagComplex, phi: Character) -> list:
     return [c.vertices for c in living.components()]
 
 
-def _connected_dual(L, phi, cap):
+def _connected_dual(L, phi):
     """One connected component's construction.
 
     Returns (vertex descriptor, loops, block rows, tree certificate) where
@@ -392,10 +405,7 @@ def _connected_dual(L, phi, cap):
             k = math.gcd(k, abs(phi.value(v).numerator))
         hood_complex = L.induced(hood)
         weighted = sum(
-            (
-                abs(phi.value(v)) * euler_raag(hood_complex.link(v), cap)
-                for v in b
-            ),
+            (abs(phi.value(v)) * euler_raag(hood_complex.link(v)) for v in b),
             start=Fraction(0),
         )
         chi = weighted / k
@@ -422,7 +432,7 @@ def _connected_dual(L, phi, cap):
     return vertex_descriptor, loops, rows, certificate
 
 
-def dual_splitting(L: FlagComplex, phi: Character, cap=None):
+def dual_splitting(L: FlagComplex, phi: Character):
     """Single-vertex splitting dual to ``phi`` realizing the closed-form
     complexity, together with its report.
 
@@ -444,7 +454,7 @@ def dual_splitting(L: FlagComplex, phi: Character, cap=None):
 
     components = L.components()
     if len(components) == 1:
-        vertex_descriptor, loops, rows, certificate = _connected_dual(L, phi, cap)
+        vertex_descriptor, loops, rows, certificate = _connected_dual(L, phi)
     else:
         parts = []
         loops = []
@@ -458,7 +468,7 @@ def dual_splitting(L: FlagComplex, phi: Character, cap=None):
                     {"component": list(comp.vertices), "dead": True}
                 )
             else:
-                vdesc, comp_loops, comp_rows, cert = _connected_dual(comp, phic, cap)
+                vdesc, comp_loops, comp_rows, cert = _connected_dual(comp, phic)
                 parts.append(vdesc)
                 loops.extend(comp_loops)
                 rows.extend(comp_rows)
@@ -552,9 +562,7 @@ class CoverTruncation:
         }
 
 
-def cyclic_cover_truncation(
-    gog: GraphOfGroups, phi: Character, k: int, cap=None
-) -> CoverTruncation:
+def cyclic_cover_truncation(gog: GraphOfGroups, phi: Character, k: int) -> CoverTruncation:
     """Build the window with vertices v_i, |i| <= k, and one lift of each
     loop from v_i to v_(i + phi(t_e)) whenever both ends are in range."""
     if not gog.single_vertex:
@@ -587,13 +595,10 @@ def cyclic_cover_truncation(
     lifts = [(i + k, j + k) for _, i, j in built]
     connected = len(spanning_forest(2 * k + 1, lifts)) == 2 * k
 
-    b1_vertex = b1_of(gog.vertex_groups[0], gog.complex, cap)
+    b1_vertex = b1_of(gog.vertex_groups[0], gog.complex)
     vertex_rank_sum = (2 * k + 1) * b1_vertex
     edge_rank_sum = sum(
-        (
-            counts[idx] * b1_of(e.group, gog.complex, cap)
-            for idx, e in enumerate(gog.edges)
-        ),
+        (counts[idx] * b1_of(e.group, gog.complex) for idx, e in enumerate(gog.edges)),
         start=Fraction(0),
     )
     return CoverTruncation(

@@ -163,7 +163,7 @@ class CrossCheckReport:
         return doc
 
 
-def cross_check(L: FlagComplex, phi: Character, cap=None) -> CrossCheckReport:
+def cross_check(L: FlagComplex, phi: Character) -> CrossCheckReport:
     """Compute all three quantities independently and compare exactly."""
     check_domain(phi, L)
     require_integral(phi)
@@ -175,8 +175,8 @@ def cross_check(L: FlagComplex, phi: Character, cap=None) -> CrossCheckReport:
         return CrossCheckReport(L, phi, False, gcd)
     width = thickness(l2_polytope(L), phi)
     primitive, _ = phi.primitive()
-    minus_chi2 = -l2_euler_kernel(L, primitive, cap) * gcd
-    gog, _report = dual_splitting(L, phi, cap)
+    minus_chi2 = -l2_euler_kernel(L, primitive) * gcd
+    gog, _report = dual_splitting(L, phi)
     complexity = splitting_complexity(gog, phi)
     equal = width == minus_chi2 == complexity
     return CrossCheckReport(L, phi, True, gcd, width, minus_chi2, complexity, equal)
@@ -584,9 +584,10 @@ def run_suite(config=None) -> dict:
     """Execute the invariant suites; a nonzero failure count fails the run.
 
     ``config`` follows ``{"samples": int, "max_n": int, "seed": int}``;
-    missing keys take defaults; an unknown key or a value that is not an
-    integer is a :class:`ParseError`. The report is JSON-serializable and
-    carries counterexamples for every failed case (capped per check).
+    missing keys take defaults. An unknown key, a value that is not an
+    integer, ``samples`` below 0 or ``max_n`` below 1 is a
+    :class:`ParseError`. The report is JSON-serializable and carries
+    counterexamples for every failed case (capped per check).
     """
     cfg = dict(DEFAULT_SUITE_CONFIG)
     cfg.update(config or {})
@@ -596,12 +597,15 @@ def run_suite(config=None) -> dict:
     for key, value in cfg.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParseError(f'suite config: "{key}" must be an integer')
+    for key, least in (("samples", 0), ("max_n", 1)):
+        if cfg[key] < least:
+            raise ParseError(f'suite config: "{key}" must be at least {least}')
     samples = cfg["samples"]
     max_n = cfg["max_n"]
     seed = cfg["seed"]
 
     checks = [
-        check_main_equality(samples, seed + 1, min_n=min(2, max_n + 1), max_n=max(2, max_n)),
+        check_main_equality(samples, seed + 1, max_n=max(2, max_n)),
         check_paper_examples(seed + 2),
         check_negative_controls(),
         check_contractibility_and_cut_rank(samples, seed + 3, max_n=max_n),

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 import raagnorm
-from raagnorm import Character, GraphOfGroups, ResultTooLargeError, dual_splitting, parse_complex
+from raagnorm import (
+    Character, GraphOfGroups, ResultTooLargeError, complexes, dual_splitting, parse_complex,
+)
 from raagnorm.cli import main
 from raagnorm.rationals import format_rational
 
@@ -309,16 +311,15 @@ def test_compact_output(files, capsys):
 
 
 def test_clique_cap_env(files, capsys, monkeypatch):
-    monkeypatch.setenv("RAAG_CLIQUE_CAP", "3")
-    code, out = run(capsys, "analyze", "--complex", files("c4.json", C4))
-    assert code == 1
-    assert json.loads(out)["error"]["kind"] == "clique_cap"
-    monkeypatch.setenv("RAAG_CLIQUE_CAP", "64")
+    # The simplex budget is a module constant; no environment variable sets it.
+    monkeypatch.setenv("RAAG_CLIQUE_CAP", "zz")
     code, _ = run(capsys, "analyze", "--complex", files("c4.json", C4))
     assert code == 0
-    monkeypatch.setenv("RAAG_CLIQUE_CAP", "zz")
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 7)  # C4 has 4 + 4 simplices
     code, out = run(capsys, "analyze", "--complex", files("c4.json", C4))
-    assert code == 2
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "clique_cap" and error["budget"] == 7
 
 
 def test_json_array_complex_is_a_parse_error(files, capsys):
@@ -353,6 +354,9 @@ def test_deeply_nested_character_exit_two(files, capsys):
         ('{"samples": 1.5}', "samples"),
         ('{"samples": true}', "samples"),
         ('{"samplez": 3}', "samplez"),
+        ('{"max_n": 0}', "max_n"),
+        ('{"max_n": -3}', "max_n"),
+        ('{"samples": -3}', "samples"),
     ],
 )
 def test_suite_config_values_are_checked(files, capsys, text, key):

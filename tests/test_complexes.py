@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -18,6 +21,7 @@ from raagnorm import (
     ParseError,
     UnknownVertexError,
     clique_tree,
+    complexes,
     find_separating_clique,
     is_chordal,
     lex_bfs,
@@ -143,6 +147,18 @@ def test_maximal_cliques_empty():
     assert FlagComplex([]).maximal_cliques() == []
 
 
+def test_maximal_clique_larger_than_the_recursion_limit():
+    names = [f"k{i}" for i in range(120)]
+    K = FlagComplex(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        cliques = K.maximal_cliques()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cliques == [K.vertices]
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 7), seed=st.integers(0, 2**32), density=st.integers(0, 100))
 def test_maximal_cliques_match_bruteforce(n, seed, density):
@@ -150,13 +166,23 @@ def test_maximal_cliques_match_bruteforce(n, seed, density):
     assert L.maximal_cliques() == brute_maximal_cliques(L)
 
 
-def test_clique_cap():
+def test_clique_cap(monkeypatch):
     L = random_graph(5, 1)
+    total = sum(map(len, L.simplices_by_dim()))
+    # Bron-Kerbosch makes at most one call per simplex, so an exact budget
+    # admits both enumerations; one short stops the full one.
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total)
+    assert L.maximal_cliques() == brute_maximal_cliques(L)
+    assert sum(map(len, L.simplices_by_dim())) == total
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total - 1)
     with pytest.raises(CliqueCapError):
-        L.maximal_cliques(cap=4)
-    with pytest.raises(CliqueCapError):
-        L.simplices_by_dim(cap=4)
-    assert L.maximal_cliques(cap=5)
+        L.simplices_by_dim()
+    # Every vertex joins the growing clique in some call.
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 4)
+    for call in (L.maximal_cliques, L.simplices_by_dim):
+        with pytest.raises(CliqueCapError) as caught:
+            call()
+        assert caught.value.kind == "clique_cap" and caught.value.info == {"budget": 4}
 
 
 def test_simplices_by_dim_orders(k3):

@@ -7,6 +7,7 @@ from oracles import bareiss_rank, dense_fraction_rank
 from raagnorm import (
     CliqueCapError,
     FlagComplex,
+    complexes,
     euler_raag,
     l2_betti_group,
     plant_cycle,
@@ -205,9 +206,9 @@ def test_one_enumeration_serves_betti_group_betti_and_euler(monkeypatch):
     enumerated = []
     original = FlagComplex.simplices_by_dim
 
-    def counted(self, cap=None):
+    def counted(self):
         enumerated.append(self)
-        return original(self, cap)
+        return original(self)
 
     monkeypatch.setattr(FlagComplex, "simplices_by_dim", counted)
     L = plant_cycle(random_chordal(10, 4), 4, "h")
@@ -217,15 +218,21 @@ def test_one_enumeration_serves_betti_group_betti_and_euler(monkeypatch):
     assert enumerated == [L]
 
 
-def test_cap_is_checked_before_any_kept_result():
+def test_cap_is_checked_before_any_kept_result(monkeypatch):
     names = [f"v{i}" for i in range(80)]
     L = FlagComplex(names, list(zip(names, names[1:])))
-    assert reduced_betti(L, cap=100).betti == (0, 0, 0)
-    assert euler_raag(L, cap=100) == 0
-    assert L.f_vector(cap=100) == (80, 79)
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 80 + 79 - 1)
     for call in (reduced_betti, euler_raag, l2_betti_group, FlagComplex.f_vector):
         with pytest.raises(CliqueCapError):
             call(L)
+    assert not L._cache  # a failed enumeration keeps nothing
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 80 + 79)
+    assert reduced_betti(L).betti == (0, 0, 0)
+    assert euler_raag(L) == 0
+    assert L.f_vector() == (80, 79)
+    # A kept result fitted the budget when it was computed.
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 1)
+    assert reduced_betti(L).betti == (0, 0, 0) and L.f_vector() == (80, 79)
 
 
 def test_euler_raag_on_a_fresh_complex_counts_simplices():

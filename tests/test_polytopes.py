@@ -177,14 +177,6 @@ def test_norm_matches_polytope_thickness():
         assert thurston_norm(L, phi) == thickness(l2_polytope(L), phi)
 
 
-def test_norm_float_mode(p3):
-    value = thurston_norm(p3, {"a": 0.25, "b": -1.5, "c": 3.0})
-    assert isinstance(value, float)
-    assert abs(value - 1.5) <= 1e-12
-    with pytest.raises(AmbientMismatchError):
-        thurston_norm(p3, {"a": 1.0})
-
-
 def test_norm_seminorm_axioms_sampled():
     rng = SplitMix64(17)
     for seed in range(10):

@@ -1,6 +1,7 @@
 """Smoke tests for the public surface: the names ``raagnorm`` exports and the
 demo scripts that use them."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -21,6 +22,19 @@ def test_all_is_sorted_unique_and_resolves():
         assert hasattr(raagnorm, name), name
     for removed in ("combine", "negate"):
         assert removed not in names and not hasattr(raagnorm, removed)
+
+
+def test_no_cap_parameter_and_one_simplex_budget():
+    callables = [getattr(raagnorm, name) for name in raagnorm.__all__]
+    callables = [obj for obj in callables if callable(obj)]
+    callables += [f for _, f in inspect.getmembers(raagnorm.FlagComplex, inspect.isfunction)]
+    for obj in callables:
+        assert "cap" not in inspect.signature(obj).parameters, obj
+    assert not hasattr(raagnorm, "DEFAULT_CLIQUE_CAP")
+    assert not hasattr(raagnorm.complexes, "DEFAULT_CLIQUE_CAP")
+    assert "SIMPLEX_BUDGET" in raagnorm.__all__
+    assert raagnorm.SIMPLEX_BUDGET == raagnorm.complexes.SIMPLEX_BUDGET == 2**20
+    assert raagnorm.__all__ == sorted(raagnorm.__all__)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

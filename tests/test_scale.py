@@ -1,5 +1,5 @@
-"""Linear-time structure at 10^3-10^4 vertices, and exact homology on the
-largest dense complexes the clique cap admits.
+"""Linear-time structure at 10^3-10^4 vertices, exact homology on a dense
+complex, and the three-way equality past 65 vertices on the public path.
 
 Each sparse input is a tree of blocks whose block counts are known by
 construction, so the semi-norm has the closed form
@@ -9,6 +9,7 @@ characteristic is its negative. The dense input is a fifth power of a path
 homology has closed forms too.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,16 @@ import pytest
 from raagnorm import (
     Character,
     FlagComplex,
+    complexes,
+    cross_check,
     l2_betti_kernel,
     l2_euler_kernel,
     plant_cycle,
+    random_chordal,
     reduced_betti,
     thurston_norm,
 )
+from raagnorm.cli import main
 from raagnorm.verify import SplitMix64
 
 
@@ -34,7 +39,7 @@ def path(n):
 
 def block_tree(n, seed):
     """Glue cliques of 2-4 vertices at single vertices, at most four blocks
-    per vertex (so every link stays far below the clique cap)."""
+    per vertex (so every link is small)."""
     rng = SplitMix64(seed)
     names = [f"u{i}" for i in range(n)]
     blocks = {names[0]: 0}
@@ -100,7 +105,7 @@ def link_components(L, v):
 
 
 def test_dense_homology_closed_forms():
-    # 58 + 6 = 64 vertices, the default clique cap; cliques of size 6
+    # 58 + 6 = 64 vertices; cliques of size 6
     L = path_power_with_hole(58, 5, 6)
     phi = character(L)
     assert reduced_betti(L).betti == (0, 0, 1, 0, 0, 0, 0)
@@ -112,3 +117,50 @@ def test_dense_homology_closed_forms():
     kernel = l2_betti_kernel(L, phi)
     assert kernel[1] == b1
     assert sum(kernel) == b1
+
+
+# random_chordal(1000, 7): 5,531 simplices and clique number 7, but one
+# vertex has 86 neighbours, so its link is large in vertices, small in work.
+
+
+@pytest.fixture(scope="module")
+def chordal_1000():
+    L = random_chordal(1000, 7)
+    return L, character(L)
+
+
+def test_cross_check_past_65_vertices(chordal_1000):
+    L, phi = chordal_1000
+    assert max(len(L.neighbors(v)) for v in L.vertices) == 86
+    assert sum(L.f_vector()) == 5531
+    report = cross_check(L, phi)
+    assert report.applicable and report.equal
+    assert report.thickness == thurston_norm(L, phi) > 0
+
+
+def write_case(tmp_path, L, phi):
+    complex_path = tmp_path / "complex.json"
+    char_path = tmp_path / "char.json"
+    complex_path.write_text(json.dumps(L.to_json_doc()))
+    char_path.write_text(json.dumps(phi.to_json_doc()))
+    return str(complex_path), str(char_path)
+
+
+def test_cli_verify_past_65_vertices(chordal_1000, tmp_path, capsys):
+    complex_path, char_path = write_case(tmp_path, *chordal_1000)
+    code = main(["verify", "--complex", complex_path, "--char", char_path])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["applicable"] and doc["equal"]
+
+
+def test_cli_over_budget_is_one_clique_cap_document(chordal_1000, tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 1000)
+    complex_path, _ = write_case(tmp_path, *chordal_1000)
+    code = main(["analyze", "--complex", complex_path])
+    captured = capsys.readouterr()
+    assert code == 1
+    error = json.loads(captured.out)["error"]  # exactly one document
+    assert error["kind"] == "clique_cap" and error["budget"] == 1000
+    assert "Traceback" not in captured.err

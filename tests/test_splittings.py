@@ -367,8 +367,18 @@ def _amalgam(doc):
         lambda doc: _amalgam(doc)["parts"][2].update(vertices=5),
         lambda doc: _amalgam(doc).update(parts=3),
         lambda doc: _amalgam(doc)["parts"][0].update(k="x"),
+        lambda doc: doc["edges"][0].update(source=True, target="1"),
+        lambda doc: doc["edges"][0].update(target=0.0),
+        lambda doc: _amalgam(doc)["parts"][0].update(k=1.9),
+        lambda doc: _amalgam(doc)["parts"][0].update(k=True),
+        lambda doc: doc["edges"][0].update(inclusion=7),
+        lambda doc: doc["edges"][0].update(inclusion="loop"),
+        lambda doc: _amalgam(doc)["parts"][2].update(vertices=[1]),
+        lambda doc: _amalgam(doc)["parts"][0].update(block="a"),
     ],
-    ids=["vertices", "edges", "parabolic_vertices", "amalgam_parts", "k"],
+    ids=["vertices", "edges", "parabolic_vertices", "amalgam_parts", "k", "bool_source",
+         "float_target", "float_k", "bool_k", "int_inclusion", "unknown_inclusion",
+         "int_vertex", "string_block"],
 )
 def test_gog_from_malformed_json_doc_is_a_parse_error(p3, phi101, spoil):
     doc = dual_splitting(p3, phi101)[0].to_json_doc()
