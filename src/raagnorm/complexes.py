@@ -43,11 +43,11 @@ class FlagComplex:
     Instances are immutable and hashable. Equality compares the vertex
     sequence (order matters) and the edge set. These invariants are
     computed on first use and kept on the instance: the chordality witness,
-    the component vertex sets, the cut ranks, the f-vector (simplex count
-    per dimension) and the reduced Betti numbers
-    (:func:`raagnorm.homology.reduced_betti`). Only results are kept, never
-    the simplex lists. The cache takes no part in equality, hashing or
-    ``repr``.
+    the component vertex sets, the cut ranks, the maximal cliques with a
+    clique tree, the f-vector (simplex count per dimension) and the reduced
+    Betti numbers (:func:`raagnorm.homology.reduced_betti`). Only results
+    are kept, never the simplex lists. The cache takes no part in equality,
+    hashing or ``repr``.
     """
 
     __slots__ = ("vertices", "_index", "_adj", "_edges", "_cache")
@@ -208,34 +208,9 @@ class FlagComplex:
     # -- cliques -----------------------------------------------------------
 
     def maximal_cliques(self):
-        """Every maximal clique as an index-sorted tuple, lexicographically.
-
-        Bron-Kerbosch with a deterministic pivot (largest candidate coverage,
-        ties by vertex order). The calls wait on an explicit stack, so a large
-        clique does not hit the recursion limit. Each call but the first
-        holds a distinct nonempty clique, so their count is charged to
-        :data:`SIMPLEX_BUDGET`.
-        """
-        if not self.vertices:
-            return []
-        adj = self._adj
-        idx = self._index
-        out = []
-        calls = 0
-        stack = [(set(), set(self.vertices), set())]
-        while stack:
-            r, p, x = stack.pop()
-            if not p and not x:
-                out.append(tuple(sorted(r, key=idx.__getitem__)))
-                continue
-            pivot = max(p | x, key=lambda u: (len(p & adj[u]), -idx[u]))
-            for v in sorted(p - adj[pivot], key=idx.__getitem__):
-                calls += 1
-                _check_budget(calls)
-                stack.append((r | {v}, p & adj[v], x & adj[v]))
-                p = p - {v}
-                x = x | {v}
-        return sorted(out, key=lambda c: tuple(idx[v] for v in c))
+        """Every maximal clique as an index-sorted tuple, lexicographically;
+        chordal complexes only (see :func:`clique_tree`)."""
+        return list(self._cached("clique_tree", _clique_tree)[0])
 
     def simplices_by_dim(self):
         """All simplices, grouped by dimension, each lexicographically sorted.
@@ -760,29 +735,51 @@ def spanning_forest(n, pairs) -> list:
 # -- clique trees --------------------------------------------------------------
 
 
-def clique_tree(L: FlagComplex):
-    """Maximal cliques and a junction tree over them.
+def _clique_tree(L):
+    """Maximal cliques, index-sorted and in lexicographic order, and a clique
+    forest over them as sorted pairs ``(i, j)``, ``i < j``, read off the kept
+    perfect elimination ordering in linear time (Blair-Peyton).
 
-    Returns ``(cliques, tree_edges)`` where ``tree_edges`` are pairs of
-    clique indices. The tree is a maximum-weight spanning tree of the clique
-    intersection graph (Kruskal, deterministic tie-breaking), which gives the
-    running-intersection property; all separators are nonempty because the
-    complex is connected.
+    With C(v) = {v} + later(v), C(v) is a maximal clique unless some earlier
+    ``u`` has later(u) == C(v); then ``v`` joins the clique of the first such
+    ``u``. Each ``v`` whose first later neighbour ``p`` lies in another
+    clique joins the two cliques by an edge with separator later(v).
+    """
+    peo = require_chordal(L).peo
+    pos = {v: i for i, v in enumerate(peo)}
+    idx = L._index
+    # Later neighbours in elimination order, so later[v][0] is v's parent.
+    later = {v: [] for v in peo}
+    for u in peo:
+        for w in L._adj[u]:
+            if pos[w] < pos[u]:
+                later[w].append(u)
+    owner = {}  # vertex -> its clique, index-sorted
+    for v in peo:
+        if v not in owner:
+            owner[v] = tuple(sorted([v] + later[v], key=idx.__getitem__))
+        # later(v) lies in C(parent), so equal sizes mean equal sets.
+        if later[v] and len(later[v]) == len(later[later[v][0]]) + 1:
+            owner.setdefault(later[v][0], owner[v])
+    cliques = sorted(set(owner.values()), key=lambda c: [idx[v] for v in c])
+    number = {c: i for i, c in enumerate(cliques)}
+    edges = []
+    for v in peo:
+        if later[v]:
+            i, j = sorted((number[owner[v]], number[owner[later[v][0]]]))
+            if i != j:
+                edges.append((i, j))
+    return tuple(cliques), tuple(sorted(edges))
+
+
+def clique_tree(L: FlagComplex):
+    """Maximal cliques and a clique tree over them, as lists.
+
+    The tree (see :func:`_clique_tree`) has the running-intersection
+    property and depends on the complex alone; all separators are nonempty
+    because the complex is connected.
     """
     if not L.is_connected():
         raise DisconnectedError("clique tree requires a connected complex")
-    require_chordal(L)
-    cliques = L.maximal_cliques()
-    sets = [set(c) for c in cliques]
-    candidates = []
-    for i in range(len(cliques)):
-        for j in range(i + 1, len(cliques)):
-            w = len(sets[i] & sets[j])
-            if w:
-                candidates.append((-w, i, j))
-    candidates.sort()
-    pairs = [(i, j) for _, i, j in candidates]
-    tree_edges = [pairs[pos] for pos in spanning_forest(len(cliques), pairs)]
-    if len(tree_edges) != len(cliques) - 1:
-        raise AssertionError("clique intersection graph of a connected complex is connected")
-    return cliques, tree_edges
+    cliques, tree_edges = L._cached("clique_tree", _clique_tree)
+    return list(cliques), list(tree_edges)

@@ -399,13 +399,13 @@ def _connected_dual(L, phi):
 
     loops = []
     rows = []
-    for b, hood in zip(blocks, hoods):
+    for b in blocks:
         k = 0
         for v in b:
             k = math.gcd(k, abs(phi.value(v).numerator))
-        hood_complex = L.induced(hood)
+        # N(v) lies in the block's neighbourhood, so this is its link there.
         weighted = sum(
-            (abs(phi.value(v)) * euler_raag(hood_complex.link(v)) for v in b),
+            (abs(phi.value(v)) * euler_raag(L.link(v)) for v in b),
             start=Fraction(0),
         )
         chi = weighted / k
@@ -543,7 +543,6 @@ class CoverTruncation:
 
     k: int
     vertex_count: int
-    edges: tuple
     lift_counts: tuple
     connected: bool
     vertex_rank_sum: Fraction
@@ -564,7 +563,8 @@ class CoverTruncation:
 
 def cyclic_cover_truncation(gog: GraphOfGroups, phi: Character, k: int) -> CoverTruncation:
     """Build the window with vertices v_i, |i| <= k, and one lift of each
-    loop from v_i to v_(i + phi(t_e)) whenever both ends are in range."""
+    loop from v_i to v_(i + phi(t_e)) whenever both ends are in range;
+    the lifts are counted as they stream into the forest test, not kept."""
     if not gog.single_vertex:
         raise SplittingError("truncation is defined for single-vertex splittings")
     if k < 0:
@@ -582,18 +582,17 @@ def cyclic_cover_truncation(gog: GraphOfGroups, phi: Character, k: int) -> Cover
     if g != 1:
         raise SplittingError("stable letter values must have gcd 1")
 
-    built = []
     counts = [0] * len(steps)
-    for idx, m in enumerate(steps):
-        for i in range(-k, k + 1):
-            j = i + m
-            if -k <= j <= k:
-                built.append((idx, i, j))
-                counts[idx] += 1
 
-    # Copies v_-k .. v_k are points 0 .. 2k of the forest.
-    lifts = [(i + k, j + k) for _, i, j in built]
-    connected = len(spanning_forest(2 * k + 1, lifts)) == 2 * k
+    def lifts():
+        # Copies v_-k .. v_k are points 0 .. 2k of the forest.
+        for idx, m in enumerate(steps):
+            for i in range(-k, k + 1):
+                if -k <= i + m <= k:
+                    counts[idx] += 1
+                    yield i + k, i + m + k
+
+    connected = len(spanning_forest(2 * k + 1, lifts())) == 2 * k
 
     b1_vertex = b1_of(gog.vertex_groups[0], gog.complex)
     vertex_rank_sum = (2 * k + 1) * b1_vertex
@@ -604,7 +603,6 @@ def cyclic_cover_truncation(gog: GraphOfGroups, phi: Character, k: int) -> Cover
     return CoverTruncation(
         k,
         2 * k + 1,
-        tuple(built),
         tuple(counts),
         connected,
         vertex_rank_sum,

@@ -37,10 +37,7 @@ from .splittings import (
     cyclic_cover_truncation,
     dual_splitting,
     euler_check,
-    euler_of,
     splitting_complexity,
-    BlockKernel,
-    Trivial,
 )
 
 _MASK = (1 << 64) - 1

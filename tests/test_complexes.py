@@ -148,41 +148,45 @@ def test_maximal_cliques_empty():
 
 
 def test_maximal_clique_larger_than_the_recursion_limit():
-    names = [f"k{i}" for i in range(120)]
-    K = FlagComplex(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]])
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
-    try:
-        cliques = K.maximal_cliques()
-    finally:
-        sys.setrecursionlimit(limit)
-    assert cliques == [K.vertices]
+    for n in (120, 1100):
+        names = [f"k{i}" for i in range(n)]
+        K = FlagComplex(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            cliques = K.maximal_cliques()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cliques == [K.vertices]
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 7), seed=st.integers(0, 2**32), density=st.integers(0, 100))
 def test_maximal_cliques_match_bruteforce(n, seed, density):
     L = random_graph(n, seed, density)
-    assert L.maximal_cliques() == brute_maximal_cliques(L)
+    if brute_chordal(L):
+        assert L.maximal_cliques() == brute_maximal_cliques(L)
+    else:
+        with pytest.raises(NotChordalError) as caught:
+            L.maximal_cliques()
+        assert verify_induced_cycle(L, caught.value.info["cycle"])
 
 
 def test_clique_cap(monkeypatch):
     L = random_graph(5, 1)
     total = sum(map(len, L.simplices_by_dim()))
-    # Bron-Kerbosch makes at most one call per simplex, so an exact budget
-    # admits both enumerations; one short stops the full one.
+    # The exact budget admits the enumeration; one short stops it.
     monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total)
-    assert L.maximal_cliques() == brute_maximal_cliques(L)
     assert sum(map(len, L.simplices_by_dim())) == total
     monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total - 1)
     with pytest.raises(CliqueCapError):
         L.simplices_by_dim()
-    # Every vertex joins the growing clique in some call.
     monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 4)
-    for call in (L.maximal_cliques, L.simplices_by_dim):
-        with pytest.raises(CliqueCapError) as caught:
-            call()
-        assert caught.value.kind == "clique_cap" and caught.value.info == {"budget": 4}
+    with pytest.raises(CliqueCapError) as caught:
+        L.simplices_by_dim()
+    assert caught.value.kind == "clique_cap" and caught.value.info == {"budget": 4}
+    # Reading the cliques off the elimination ordering builds no simplices.
+    assert L.maximal_cliques() == brute_maximal_cliques(L)
 
 
 def test_simplices_by_dim_orders(k3):
@@ -447,26 +451,37 @@ def test_clique_tree_p3(p3):
     assert edges == [(0, 1)]
 
 
-def test_clique_tree_running_intersection():
-    for seed in range(25):
-        L = random_chordal(10, seed + 100)
-        cliques, edges = clique_tree(L)
-        assert len(edges) == len(cliques) - 1
-        adjacency = {i: set() for i in range(len(cliques))}
-        for i, j in edges:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        for v in L.vertices:
-            holders = [i for i, c in enumerate(cliques) if v in c]
-            seen = {holders[0]}
-            stack = [holders[0]]
-            while stack:
-                u = stack.pop()
-                for w in adjacency[u]:
-                    if w in set(holders) and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            assert len(seen) == len(holders), f"vertex {v} not a subtree"
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_clique_tree_running_intersection(n, seed):
+    L = random_chordal(n, seed)
+    cliques, edges = clique_tree(L)
+    if n <= 12:
+        assert cliques == brute_maximal_cliques(L)
+    assert len(edges) == len(cliques) - 1
+    adjacency = {i: set() for i in range(len(cliques))}
+    for i, j in edges:
+        assert i < j and set(cliques[i]) & set(cliques[j])
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    for v in L.vertices:
+        holders = {i for i, c in enumerate(cliques) if v in c}
+        start = min(holders)
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in adjacency[stack.pop()] & holders - seen:
+                seen.add(w)
+                stack.append(w)
+        assert seen == holders, f"vertex {v} not a subtree"
+    assert clique_tree(FlagComplex(L.vertices, L.edges())) == (cliques, edges)
+    other = random_chordal(n, seed + 1)
+    union = FlagComplex(
+        list(L.vertices) + [f"u{v}" for v in other.vertices],
+        L.edges() + [(f"u{a}", f"u{b}") for a, b in other.edges()],
+    )
+    with pytest.raises(DisconnectedError):
+        clique_tree(union)
 
 
 def test_clique_tree_requires_connected_chordal(c4):

@@ -1,6 +1,7 @@
 """Smoke tests for the public surface: the names ``raagnorm`` exports and the
 demo scripts that use them."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -12,6 +13,9 @@ import pytest
 import raagnorm
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+MODULES = sorted(
+    p for p in Path(raagnorm.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py"
+)
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -46,3 +50,16 @@ def test_demo_runs_cleanly(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_no_unused_imports(module):
+    tree = ast.parse(module.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, sorted(imported - used)

@@ -1,5 +1,6 @@
 """Linear-time structure at 10^3-10^4 vertices, exact homology on a dense
-complex, and the three-way equality past 65 vertices on the public path.
+complex, the clique tree's Euler bookkeeping at 10^4 vertices, and the
+three-way equality past 65 vertices on the public path.
 
 Each sparse input is a tree of blocks whose block counts are known by
 construction, so the semi-norm has the closed form
@@ -17,8 +18,11 @@ import pytest
 from raagnorm import (
     Character,
     FlagComplex,
+    clique_tree_splitting,
     complexes,
     cross_check,
+    euler_check,
+    euler_raag,
     l2_betti_kernel,
     l2_euler_kernel,
     plant_cycle,
@@ -136,6 +140,13 @@ def test_cross_check_past_65_vertices(chordal_1000):
     report = cross_check(L, phi)
     assert report.applicable and report.equal
     assert report.thickness == thurston_norm(L, phi) > 0
+
+
+def test_clique_tree_euler_bookkeeping_at_10k():
+    L = random_chordal(10**4, 7)
+    gog = clique_tree_splitting(L)
+    assert len(gog.edges) == len(gog.vertex_groups) - 1
+    assert euler_check(gog) == euler_raag(L) == 0
 
 
 def write_case(tmp_path, L, phi):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -421,6 +422,18 @@ def test_truncation_letter_three(p3):
     assert by_letter[1] == 2
     t3 = cyclic_cover_truncation(gog, phi, 3)
     assert t3.connected
+
+
+def test_truncation_window_keeps_no_lifts(p3, phi111):
+    gog, _ = dual_splitting(p3, phi111)
+    tracemalloc.start()
+    try:
+        t = cyclic_cover_truncation(gog, phi111, 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.lift_counts == (2 * 10**5,) and t.connected
+    assert peak < 32 * 2**20
 
 
 def test_truncation_counts_formula_and_connectivity():
