@@ -101,10 +101,13 @@ class Character:
         return Character({v: x + other._values[v] for v, x in self._values.items()})
 
     def primitive(self):
-        """The primitive representative and the gcd it was divided by."""
+        """The primitive representative and the gcd it was divided by; a
+        character that is already primitive is its own representative."""
         if self.is_zero:
             raise ZeroCharacterError("zero character has no primitive representative")
         g = self.gcd()
+        if g == 1:
+            return self, 1
         return self.scale(Fraction(1, g)), g
 
     def restrict(self, vertices) -> "Character":

@@ -44,10 +44,11 @@ class FlagComplex:
     sequence (order matters) and the edge set. These invariants are
     computed on first use and kept on the instance: the chordality witness,
     the component vertex sets, the cut ranks, the maximal cliques with a
-    clique tree, the f-vector (simplex count per dimension) and the reduced
-    Betti numbers (:func:`raagnorm.homology.reduced_betti`). Only results
-    are kept, never the simplex lists. The cache takes no part in equality,
-    hashing or ``repr``.
+    clique tree, the f-vector (simplex count per dimension), the reduced
+    Betti numbers (:func:`raagnorm.homology.reduced_betti`) and the Euler
+    characteristic of every vertex link (:func:`raagnorm.homology.link_euler`).
+    Only results are kept, never the simplex lists. The cache takes no part
+    in equality, hashing or ``repr``.
     """
 
     __slots__ = ("vertices", "_index", "_adj", "_edges", "_cache")
@@ -712,9 +713,10 @@ def find_separating_clique(L: FlagComplex, k0, k1) -> tuple:
 # -- spanning forests ----------------------------------------------------------
 
 
-def spanning_forest(n, pairs) -> list:
-    """Positions, in order, of the ``pairs`` over ``range(n)`` that join two
-    different classes (union-find): a pair left out closes a cycle."""
+def spanning_forest(n, pairs) -> int:
+    """Number of the ``pairs`` over ``range(n)`` that join two different
+    classes (union-find), taken in order: each pair not counted closes a
+    cycle. The pairs may stream in; none is kept."""
     parent = list(range(n))
 
     def find(x):
@@ -723,13 +725,13 @@ def spanning_forest(n, pairs) -> list:
             x = parent[x]
         return x
 
-    kept = []
-    for pos, (a, b) in enumerate(pairs):
+    joined = 0
+    for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-            kept.append(pos)
-    return kept
+            joined += 1
+    return joined
 
 
 # -- clique trees --------------------------------------------------------------

@@ -18,7 +18,9 @@ change.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .complexes import FlagComplex
@@ -156,3 +158,27 @@ def euler_raag(L: FlagComplex) -> int:
     the simplices only if no enumeration has run.
     """
     return 1 - sum((-1) ** d * f for d, f in enumerate(L.f_vector()))
+
+
+def link_euler(L: FlagComplex) -> dict:
+    """``{v: euler_raag(L.link(v))}`` for every vertex, from one enumeration
+    of ``L`` (a star count) instead of one per link.
+
+    The (d-1)-simplices of the link of ``v`` are exactly the d-simplices of
+    ``L`` through ``v``, so the link's group Euler characteristic is the sum
+    over simplices containing ``v`` of (-1)^dim (the vertex itself counts
+    +1 for the empty simplex of the link). Each level adds its sign once per
+    vertex of each of its simplices. Computed once per complex and kept on
+    it; the caller gets a copy.
+    """
+    return dict(L._cached("link_euler", _link_euler))
+
+
+def _link_euler(L):
+    chi = dict.fromkeys(L.vertices, 0)
+    sign = 1
+    for level in L.simplices_by_dim():
+        for v, count in Counter(chain.from_iterable(level)).items():
+            chi[v] += sign * count
+        sign = -sign
+    return chi

@@ -59,9 +59,9 @@ def l2_euler_kernel(L: FlagComplex, phi: Character) -> Fraction:
     group of the link of v."""
     check_domain(phi, L)
     require_primitive(phi)
-    return sum(
-        (abs(phi.value(v)) * euler_raag(L.link(v)) for v in L.vertices),
-        start=Fraction(0),
+    # ``phi`` is integral, so the sum stays in the integers.
+    return Fraction(
+        sum(abs(phi.value(v).numerator) * euler_raag(L.link(v)) for v in L.vertices)
     )
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .characters import Character, check_domain, require_integral, require_nonzero
 from .complexes import FlagComplex, clique_tree, require_chordal, spanning_forest
 from .errors import ParseError, SplittingError
-from .homology import euler_raag
+from .homology import euler_raag, link_euler
 from .l2 import living_subcomplex
 from .rationals import format_rational, parse_rational
 
@@ -205,7 +205,7 @@ class GraphOfGroups:
             if e.source == e.target:
                 raise SplittingError("a loop cannot belong to the spanning tree")
         tree = [self.edges[i] for i in sorted(self.tree_edges)]
-        if len(spanning_forest(nv, [(e.source, e.target) for e in tree])) != len(tree):
+        if spanning_forest(nv, [(e.source, e.target) for e in tree]) != len(tree):
             raise SplittingError("tree edges contain a cycle")
         if nv and len(self.tree_edges) != nv - 1:
             raise SplittingError("tree edges do not span the vertex set")
@@ -374,41 +374,54 @@ def _connected_dual(L, phi):
     node_labels += [
         {"role": "complement", "vertices": list(c.vertices)} for c in complements
     ]
-    comp_sets = [set(c.vertices) for c in complements]
+    # Each dead vertex carries the index of its complement, so a hood meets
+    # exactly the complements its dead vertices name.
+    label = {v: j for j, c in enumerate(complements) for v in c.vertices}
     bip_edges = []
     for i, hood in enumerate(hoods):
-        for j, members in enumerate(comp_sets):
-            inter = [v for v in hood if v in members]
-            if not inter:
-                continue
-            for piece in L.induced(inter).components():
+        buckets = {}
+        for v in hood:
+            j = label.get(v)
+            if j is not None:
+                buckets.setdefault(j, []).append(v)
+        for j in sorted(buckets):
+            for piece in L.induced(buckets[j]).components():
                 bip_edges.append((i, len(blocks) + j, piece.vertices))
     # Treeness is a theorem for chordal input; failure means a bug here.
     n_nodes = len(blocks) + len(complements)
     pairs = [(a, b) for a, b, _ in bip_edges]
-    if len(spanning_forest(n_nodes, pairs)) != len(pairs):
+    if spanning_forest(n_nodes, pairs) != len(pairs):
         raise AssertionError("block/complement intersection graph has a cycle")
     if len(bip_edges) != n_nodes - 1:
         raise AssertionError("block/complement intersection graph is disconnected")
-    hood_sets = [set(h) for h in hoods]
-    for i in range(len(hoods)):
-        for i2 in range(i + 1, len(hoods)):
-            overlap = [v for v in hoods[i] if v in hood_sets[i2]]
-            if overlap and L.induced(overlap).component_count() != 1:
+    # Only hoods that share a vertex can overlap; the shared vertices are
+    # dead, since a living vertex lies in its own block's hood alone. On
+    # chordal input two hoods meet in a clique (two non-adjacent common
+    # neighbours would close an induced cycle through both blocks), so
+    # this too guards the construction, not the input.
+    holders = {}
+    for i, hood in enumerate(hoods):
+        shared = {}  # earlier hood -> the vertices this hood shares with it
+        for v in hood:
+            earlier = holders.setdefault(v, [])
+            for i0 in earlier:
+                shared.setdefault(i0, []).append(v)
+            earlier.append(i)
+        for overlap in shared.values():
+            if len(overlap) > 1 and L.induced(overlap).component_count() != 1:
                 raise AssertionError("block neighborhoods meet in a disconnected set")
 
+    # N(v) lies in the block's neighbourhood, so the link of v there is its
+    # link in L; one star count of L serves every block.
+    link_chi = link_euler(L)
     loops = []
     rows = []
     for b in blocks:
         k = 0
         for v in b:
             k = math.gcd(k, abs(phi.value(v).numerator))
-        # N(v) lies in the block's neighbourhood, so this is its link there.
-        weighted = sum(
-            (abs(phi.value(v)) * euler_raag(L.link(v)) for v in b),
-            start=Fraction(0),
-        )
-        chi = weighted / k
+        weighted = sum(abs(phi.value(v).numerator) * link_chi[v] for v in b)
+        chi = Fraction(weighted, k)
         group = BlockKernel(b, k, chi)
         loops.append((group, Fraction(k)))
         rows.append(BlockRow(b, k, chi, -k * chi))
@@ -592,7 +605,7 @@ def cyclic_cover_truncation(gog: GraphOfGroups, phi: Character, k: int) -> Cover
                     counts[idx] += 1
                     yield i + k, i + m + k
 
-    connected = len(spanning_forest(2 * k + 1, lifts())) == 2 * k
+    connected = spanning_forest(2 * k + 1, lifts()) == 2 * k
 
     b1_vertex = b1_of(gog.vertex_groups[0], gog.complex)
     vertex_rank_sum = (2 * k + 1) * b1_vertex

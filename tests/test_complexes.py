@@ -30,6 +30,7 @@ from raagnorm import (
     verify_induced_cycle,
     verify_peo,
 )
+from raagnorm.complexes import spanning_forest
 from raagnorm.verify import SplitMix64, random_character
 
 
@@ -187,6 +188,14 @@ def test_clique_cap(monkeypatch):
     assert caught.value.kind == "clique_cap" and caught.value.info == {"budget": 4}
     # Reading the cliques off the elimination ordering builds no simplices.
     assert L.maximal_cliques() == brute_maximal_cliques(L)
+
+
+def test_spanning_forest_counts_the_pairs_that_join_two_classes():
+    assert spanning_forest(6, [(0, 1), (1, 2), (3, 4)]) == 3  # a forest: all join
+    assert spanning_forest(4, [(0, 1), (1, 2), (2, 3), (3, 0)]) == 3  # a cycle
+    assert spanning_forest(3, [(0, 1), (1, 0), (0, 1), (1, 2)]) == 2  # a repeated pair
+    assert spanning_forest(3, iter([(2, 0)])) == 1  # pairs may stream in
+    assert spanning_forest(0, []) == 0
 
 
 def test_simplices_by_dim_orders(k3):

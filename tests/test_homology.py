@@ -10,6 +10,7 @@ from raagnorm import (
     complexes,
     euler_raag,
     l2_betti_group,
+    link_euler,
     plant_cycle,
     random_chordal,
     rank_sparse_int,
@@ -347,3 +348,32 @@ def test_euler_matches_f_vector_and_betti():
         assert euler_raag(L) == 1 - f_sum
         # alternating reduced Betti sum equals the reduced Euler characteristic
         assert reduced_betti(L).reduced_euler() == -euler_raag(L)
+
+
+def test_link_euler_matches_each_link():
+    cases = cleared_cases() + [FlagComplex([]), FlagComplex(["p"]), FlagComplex(["p", "q"])]
+    for L in cases:
+        chi = link_euler(L)
+        assert list(chi) == list(L.vertices)
+        for v in L.vertices:
+            assert chi[v] == euler_raag(L.link(v))
+    assert link_euler(FlagComplex([])) == {}
+    assert link_euler(FlagComplex(["p", "q"])) == {"p": 1, "q": 1}
+
+
+def test_link_euler_is_one_kept_enumeration(monkeypatch):
+    enumerated = []
+    original = FlagComplex.simplices_by_dim
+
+    def counted(self):
+        enumerated.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FlagComplex, "simplices_by_dim", counted)
+    L = plant_cycle(random_chordal(12, 9), 5, "h")
+    chi = link_euler(L)
+    chi[L.vertices[0]] += 100  # the caller's copy; the kept vector is unchanged
+    assert link_euler(L) == {v: euler_raag(L.link(v)) for v in L.vertices}
+    # The star count records the f-vector, so euler_raag(L) needs no second run.
+    assert euler_raag(L) == 1 - sum((-1) ** d * f for d, f in enumerate(L.f_vector()))
+    assert sum(K is L for K in enumerated) == 1

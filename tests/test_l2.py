@@ -39,6 +39,17 @@ def test_character_parsing_and_flags():
     assert Character({"a": 0}).is_zero
 
 
+def test_primitive_returns_a_primitive_character_itself():
+    phi = Character({"a": 3, "b": -2, "c": 0})
+    prim, g = phi.primitive()
+    assert prim is phi and g == 1
+    psi = Character({"a": 6, "b": -4, "c": 0})
+    prim, g = psi.primitive()
+    assert g == 2 and prim == phi and prim is not psi
+    prim, g = Character({"a": -5}).primitive()
+    assert g == 5 and prim == Character({"a": -1})
+
+
 def test_character_rejects_floats_and_bad_docs():
     with pytest.raises(ParseError):
         Character({"a": 0.5})

@@ -12,6 +12,7 @@ homology has closed forms too.
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -23,6 +24,7 @@ from raagnorm import (
     cross_check,
     euler_check,
     euler_raag,
+    is_chordal,
     l2_betti_kernel,
     l2_euler_kernel,
     plant_cycle,
@@ -147,6 +149,29 @@ def test_clique_tree_euler_bookkeeping_at_10k():
     gog = clique_tree_splitting(L)
     assert len(gog.edges) == len(gog.vertex_groups) - 1
     assert euler_check(gog) == euler_raag(L) == 0
+
+
+def peo_f_vector(L):
+    """f_d = sum over v of C(|later(v)|, d), with later(v) the neighbours of
+    v after it in the kept perfect elimination ordering: each simplex is
+    counted once, at its first vertex in that ordering."""
+    peo = is_chordal(L).peo
+    pos = {v: i for i, v in enumerate(peo)}
+    later = [sum(pos[w] > pos[v] for w in L.neighbors(v)) for v in peo]
+    return tuple(sum(comb(k, d) for k in later) for d in range(max(later) + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 25, 90, 200])
+def test_enumerated_f_vector_matches_the_elimination_ordering(n):
+    for seed in range(5):
+        L = random_chordal(n, 100 * n + seed)
+        assert L.f_vector() == peo_f_vector(L)
+
+
+def test_enumerated_f_vector_matches_the_elimination_ordering_at_10k():
+    L = random_chordal(10**4, 7)
+    assert L.f_vector() == peo_f_vector(L)
+    assert sum(L.f_vector()) == 61793
 
 
 def write_case(tmp_path, L, phi):

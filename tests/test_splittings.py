@@ -8,6 +8,7 @@ from raagnorm import (
     Amalgam,
     BlockKernel,
     Character,
+    CliqueCapError,
     FlagComplex,
     GogEdge,
     GraphOfGroups,
@@ -19,6 +20,7 @@ from raagnorm import (
     ZeroCharacterError,
     b1_of,
     clique_tree_splitting,
+    complexes,
     cyclic_cover_truncation,
     dual_splitting,
     euler_check,
@@ -231,6 +233,39 @@ def test_block_contributions_match_ambient_links():
             )
             assert row.contribution == -ambient_sum
             assert row.contribution == -row.k * row.chi
+
+
+def test_dual_splitting_charges_the_whole_complex_once(monkeypatch):
+    L = random_chordal(40, 21)
+    phi = Character({v: 1 + i % 3 for i, v in enumerate(L.vertices)})
+    total = sum(FlagComplex(L.vertices, L.edges()).f_vector())
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total - 1)
+    with pytest.raises(CliqueCapError) as caught:
+        dual_splitting(L, phi)
+    assert caught.value.info == {"budget": total - 1}
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total)
+    _, report = dual_splitting(L, phi)
+    assert report.complexity == -l2_euler_kernel(L, phi)
+
+
+@pytest.mark.parametrize("n", [5, 30, 200])
+def test_splitting_path_builds_no_link_and_reads_no_cut_rank(n, monkeypatch):
+    L = random_chordal(n, n + 31)
+    phi = random_character(L, SplitMix64(n), -2, 2)
+    twin = FlagComplex(L.vertices, L.edges())
+    expected = [doc.to_json_doc() for doc in dual_splitting(twin, phi)]
+    primitive, _ = phi.primitive()
+    kernel = l2_euler_kernel(twin, primitive)
+
+    def refuse(*args):
+        raise AssertionError("called where it must not be")
+
+    monkeypatch.setattr(complexes, "_cut_ranks", refuse)
+    assert l2_euler_kernel(L, primitive) == kernel  # builds links, reads no cut rank
+    monkeypatch.setattr(FlagComplex, "link", refuse)
+    gog, report = dual_splitting(L, phi)
+    assert [gog.to_json_doc(), report.to_json_doc()] == expected
+    assert splitting_complexity(gog, phi) == report.complexity
 
 
 def test_edge_group_euler_nonpositive_except_trivial_kernels():
