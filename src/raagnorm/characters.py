@@ -22,9 +22,14 @@ from .rationals import format_rational, parse_rational
 
 
 class Character:
-    """Map vertex -> rational value; immutable."""
+    """Map vertex -> rational value; immutable.
 
-    __slots__ = ("_values",)
+    Integrality and the gcd of the values are worked out on first use and
+    kept on the instance, so the gates below read them without another walk
+    over the values.
+    """
+
+    __slots__ = ("_values", "_integrality")
 
     def __init__(self, values):
         vals = {}
@@ -43,6 +48,7 @@ class Character:
             else:
                 raise ParseError(f"character value for {v!r}: unsupported type")
         self._values = vals
+        self._integrality = None
 
     # -- queries -----------------------------------------------------------
 
@@ -59,21 +65,34 @@ class Character:
     def items(self):
         return self._values.items()
 
+    def _kept_integrality(self):
+        """``(is_integral, gcd)``, the gcd of the absolute values being None
+        for a non-integral character; computed once."""
+        kept = self._integrality
+        if kept is None:
+            vals = self._values.values()
+            if all(x.denominator == 1 for x in vals):
+                kept = (True, math.gcd(*[x.numerator for x in vals]))
+            else:
+                kept = (False, None)
+            self._integrality = kept
+        return kept
+
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self._values.values())
+        # A non-integral value is nonzero, and integral values are all zero
+        # exactly when their gcd is.
+        return self._kept_integrality() == (True, 0)
 
     @property
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self._values.values())
+        return self._kept_integrality()[0]
 
     def gcd(self) -> int:
         """gcd of the absolute integer values; 0 for the zero character."""
-        if not self.is_integral:
+        integral, g = self._kept_integrality()
+        if not integral:
             raise NotIntegralError("gcd is defined for integral characters")
-        g = 0
-        for x in self._values.values():
-            g = math.gcd(g, abs(x.numerator))
         return g
 
     @property

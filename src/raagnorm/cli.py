@@ -15,7 +15,7 @@ from .complexes import is_chordal, load_json, parse_complex
 from .errors import InvalidInput, ParseError, RaagError
 from .homology import euler_raag
 from .l2 import is_fibered, l2_betti_group
-from .polytopes import l2_polytope, norm_ball, thurston_norm
+from .polytopes import is_one_ended, l2_polytope, norm_ball, thurston_norm
 from .rationals import format_rational
 from .splittings import cyclic_cover_truncation, dual_splitting
 from .verify import cross_check, run_suite
@@ -65,7 +65,7 @@ def _cmd_analyze(args):
         "chordality": witness.to_json_doc(),
         "coherent": witness.chordal,
         "connected": L.is_connected(),
-        "one_ended": L.is_connected() and len(L.vertices) >= 2,
+        "one_ended": is_one_ended(L),
         "cut_ranks": (
             {v: L.cut_rank(v) for v in L.vertices} if len(L.vertices) >= 2 else {}
         ),

@@ -45,8 +45,9 @@ class FlagComplex:
     computed on first use and kept on the instance: the chordality witness,
     the component vertex sets, the cut ranks, the maximal cliques with a
     clique tree, the f-vector (simplex count per dimension), the reduced
-    Betti numbers (:func:`raagnorm.homology.reduced_betti`) and the Euler
-    characteristic of every vertex link (:func:`raagnorm.homology.link_euler`).
+    Betti numbers (:func:`raagnorm.homology.reduced_betti`), and the Euler
+    characteristic and the reduced Betti numbers of every vertex link
+    (:func:`raagnorm.homology.link_euler`, :func:`raagnorm.homology.link_betti`).
     Only results are kept, never the simplex lists. The cache takes no part
     in equality, hashing or ``repr``.
     """

@@ -102,12 +102,13 @@ class ReducedBettiVector:
         return {str(i - 1): b for i, b in enumerate(self.betti)}
 
 
-def boundary_rows(levels, d, cleared=()):
+def boundary_rows(levels, d, cleared=(), apex=None):
     """Columns of the d-th boundary map as sparse rows over (d-1)-simplices.
 
     Simplices are index-sorted tuples; the sign of the face omitting
     position i is (-1)^i. Rows at the positions in ``cleared`` are not
-    built.
+    built. With an ``apex``, the levels are the star of that vertex (see
+    :func:`link_betti`) and the face omitting it is skipped.
     """
     face_index = {s: i for i, s in enumerate(levels[d - 1])}
     rows = []
@@ -115,9 +116,9 @@ def boundary_rows(levels, d, cleared=()):
         if k in cleared:
             continue
         row = {}
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            row[face_index[face]] = -1 if i % 2 else 1
+        for i, w in enumerate(s):
+            if w != apex:
+                row[face_index[s[:i] + s[i + 1 :]]] = -1 if i % 2 else 1
         rows.append(row)
     return rows
 
@@ -130,7 +131,7 @@ def reduced_betti(L: FlagComplex) -> ReducedBettiVector:
     return L._cached("reduced_betti", lambda K: _reduced_betti(K.simplices_by_dim()))
 
 
-def _reduced_betti(levels):
+def _reduced_betti(levels, apex=None):
     if not levels:
         return ReducedBettiVector((1,), -1)
     top = len(levels) - 1
@@ -141,7 +142,7 @@ def _reduced_betti(levels):
     ranks[0] = 1
     cleared = ()
     for d in range(top, 0, -1):
-        cleared = set(_pivots(boundary_rows(levels, d, cleared)))
+        cleared = set(_pivots(boundary_rows(levels, d, cleared, apex)))
         ranks[d] = len(cleared)
     betti = [0] * (top + 2)
     for d in range(top + 1):
@@ -182,3 +183,34 @@ def _link_euler(L):
             chi[v] += sign * count
         sign = -sign
     return chi
+
+
+def link_betti(L: FlagComplex) -> dict:
+    """``{v: reduced_betti(L.link(v))}`` for every vertex, from one
+    enumeration of ``L`` (a star read-off) instead of one per link.
+
+    The (d-1)-simplices of the link of ``v`` are exactly the d-simplices of
+    ``L`` through ``v``, so each simplex of ``L`` is filed, as a reference,
+    under every vertex it holds. Each link is reduced from its star as
+    :func:`reduced_betti` reduces a complex, skipping the face that omits
+    ``v``. The other faces keep the signs of ``L``, which differ from the
+    link's own by a sign per simplex, (-1)^(dimension + position of ``v``):
+    a diagonal change of basis, so no rank changes. Computed once per
+    complex and kept on it; the caller gets a copy.
+    """
+    return dict(L._cached("link_betti", _link_betti))
+
+
+def _link_betti(L):
+    star = {v: [] for v in L.vertices}
+    for level in L.simplices_by_dim()[1:]:
+        through = {}
+        for s in level:
+            for v in s:
+                through.setdefault(v, []).append(s)
+        # A vertex of a d-simplex lies in a (d-1)-simplex, so its star
+        # already holds d-1 levels and this one lands at link dimension d-1.
+        for v, simplices in through.items():
+            star[v].append(simplices)
+    # Popped, so each star is released once its link is reduced.
+    return {v: _reduced_betti(star.pop(v), v) for v in L.vertices}

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .characters import Character, check_domain, require_nonzero, require_primitive
 from .complexes import FlagComplex
-from .homology import euler_raag, reduced_betti
+from .homology import euler_raag, link_betti, reduced_betti
 
 
 def l2_betti_group(L: FlagComplex, max_i=None) -> list:
@@ -37,21 +37,21 @@ def l2_betti_group(L: FlagComplex, max_i=None) -> list:
 
 
 def l2_betti_kernel(L: FlagComplex, phi: Character, max_i=None) -> list:
-    """b_i of the kernel of the epimorphism given by a primitive ``phi``."""
+    """b_i of the kernel of the epimorphism given by a primitive ``phi``.
+
+    Reads every link's reduced Betti numbers off one enumeration of ``L``
+    (:func:`raagnorm.homology.link_betti`); no link is built.
+    """
     check_domain(phi, L)
     require_primitive(phi)
-    links = {v: reduced_betti(L.link(v)) for v in L.vertices}
+    links = link_betti(L)
     if max_i is None:
         max_i = max((rb.top_dim for rb in links.values()), default=-1) + 2
-    out = []
-    for i in range(max_i + 1):
-        out.append(
-            sum(
-                (abs(phi.value(v)) * links[v].rank(i - 1) for v in L.vertices),
-                start=Fraction(0),
-            )
-        )
-    return out
+    # ``phi`` is integral, so the sums stay in the integers.
+    weighted = [(abs(phi.value(v).numerator), rb) for v, rb in links.items()]
+    return [
+        Fraction(sum(w * rb.rank(i - 1) for w, rb in weighted)) for i in range(max_i + 1)
+    ]
 
 
 def l2_euler_kernel(L: FlagComplex, phi: Character) -> Fraction:

@@ -165,11 +165,17 @@ def _unit(n, i, value, zero):
     return tuple(row)
 
 
+def is_one_ended(L: FlagComplex) -> bool:
+    """The group of ``L`` is one-ended: ``L`` is connected and has at least
+    two vertices."""
+    return L.is_connected() and len(L.vertices) >= 2
+
+
 def require_one_ended_coherent(L: FlagComplex):
-    """Connected, at least two vertices, chordal; raise otherwise."""
-    if not L.is_connected():
-        raise DisconnectedError("complex must be connected (one-ended group)")
-    if len(L.vertices) < 2:
+    """One-ended (:func:`is_one_ended`) and chordal; raise otherwise."""
+    if not is_one_ended(L):
+        if not L.is_connected():
+            raise DisconnectedError("complex must be connected (one-ended group)")
         raise NotOneEndedError("complex must have at least two vertices")
     require_chordal(L)
 

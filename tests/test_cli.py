@@ -141,6 +141,40 @@ def test_analyze(files, capsys):
     assert all(v == "0" for v in doc["l2_betti"].values())
 
 
+@pytest.mark.parametrize(
+    "complex_text, expected",
+    [
+        (
+            '{"vertices":[]}',
+            '{"chordality":{"chordal":true,"peo":[]},"coherent":true,"connected":false,'
+            '"cut_ranks":{},"euler":1,"l2_betti":{"0":"1"},"one_ended":false}',
+        ),
+        (
+            '{"vertices":["a"]}',
+            '{"chordality":{"chordal":true,"peo":["a"]},"coherent":true,"connected":true,'
+            '"cut_ranks":{},"euler":0,"l2_betti":{"0":"0","1":"0"},"one_ended":false}',
+        ),
+        (
+            '{"vertices":["a","b"]}',
+            '{"chordality":{"chordal":true,"peo":["b","a"]},"coherent":true,'
+            '"connected":false,"cut_ranks":{"a":0,"b":0},"euler":-1,'
+            '"l2_betti":{"0":"0","1":"1"},"one_ended":false}',
+        ),
+        (
+            '{"vertices":["a","b","c"],"edges":[["a","b"]]}',
+            '{"chordality":{"chordal":true,"peo":["c","b","a"]},"coherent":true,'
+            '"connected":false,"cut_ranks":{"a":1,"b":1,"c":0},"euler":-1,'
+            '"l2_betti":{"0":"0","1":"1","2":"0"},"one_ended":false}',
+        ),
+    ],
+)
+def test_analyze_groups_that_are_not_one_ended(files, capsys, complex_text, expected):
+    """Not one-ended: empty, a point, disconnected. Cut ranks are printed
+    wherever they are defined (two vertices or more), connected or not."""
+    code, out = run(capsys, "--compact", "analyze", "--complex", files("l.json", complex_text))
+    assert code == 0 and out == expected + "\n"
+
+
 def test_analyze_c4(files, capsys):
     code, out = run(capsys, "analyze", "--complex", files("c4.json", C4))
     assert code == 0

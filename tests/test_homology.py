@@ -7,9 +7,11 @@ from oracles import bareiss_rank, dense_fraction_rank
 from raagnorm import (
     CliqueCapError,
     FlagComplex,
+    ReducedBettiVector,
     complexes,
     euler_raag,
     l2_betti_group,
+    link_betti,
     link_euler,
     plant_cycle,
     random_chordal,
@@ -377,3 +379,58 @@ def test_link_euler_is_one_kept_enumeration(monkeypatch):
     # The star count records the f-vector, so euler_raag(L) needs no second run.
     assert euler_raag(L) == 1 - sum((-1) ** d * f for d, f in enumerate(L.f_vector()))
     assert sum(K is L for K in enumerated) == 1
+
+
+def test_link_betti_matches_each_link():
+    cases = cleared_cases() + [random_graph(9 + seed % 5, 700 + seed, 55) for seed in range(40)]
+    cases += [suspension(octahedron()), suspension(suspension(octahedron()), "t")]
+    cases += [FlagComplex([]), FlagComplex(["p"]), FlagComplex(["p", "q"], []), c5()]
+    higher = 0
+    for L in cases:
+        betti = link_betti(L)
+        assert list(betti) == list(L.vertices)
+        for v in L.vertices:
+            link = reduced_betti(L.link(v))
+            assert betti[v] == link  # Betti numbers and top_dim
+            higher += any(link.betti[2:])
+    assert higher > 0  # links with homology above dimension 0 were checked
+    assert link_betti(FlagComplex([])) == {}
+    empty_link = ReducedBettiVector((1,), -1)
+    assert link_betti(FlagComplex(["p", "q"])) == {"p": empty_link, "q": empty_link}
+    # The 3-sphere: every link is a 2-sphere.
+    assert {rb.betti for rb in link_betti(suspension(octahedron())).values()} == {
+        (0, 0, 0, 1)
+    }
+
+
+def test_link_betti_is_one_kept_enumeration(monkeypatch):
+    enumerated = []
+    original = FlagComplex.simplices_by_dim
+
+    def counted(self):
+        enumerated.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FlagComplex, "simplices_by_dim", counted)
+    L = plant_cycle(random_chordal(12, 9), 5, "h")
+    betti = link_betti(L)
+    betti[L.vertices[0]] = ReducedBettiVector((7,), 3)  # the caller's copy
+    del betti[L.vertices[1]]
+    assert link_betti(L) == {v: reduced_betti(L.link(v)) for v in L.vertices}
+    assert sum(K is L for K in enumerated) == 1
+    assert "link_betti" in L._cache
+
+
+def test_link_betti_over_budget_keeps_nothing(monkeypatch):
+    L = suspension(octahedron())
+    total = sum(L.f_vector())
+    twin = FlagComplex(L.vertices, L.edges())
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total - 1)
+    with pytest.raises(CliqueCapError) as err:
+        link_betti(twin)
+    assert err.value.info["budget"] == total - 1
+    assert not twin._cache
+    # Every link fits the budget on its own; the star read-off needs L's.
+    assert all(sum(twin.link(v).f_vector()) < total - 1 for v in twin.vertices)
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total)
+    assert link_betti(twin) == link_betti(L)

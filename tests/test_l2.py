@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from raagnorm import (
     NotIntegralError,
     NotPrimitiveError,
     ParseError,
+    RaagError,
     ZeroCharacterError,
     cut_rank_weights,
     euler_raag,
@@ -18,11 +20,14 @@ from raagnorm import (
     l2_euler_kernel,
     living_subcomplex,
     parse_character,
+    plant_cycle,
     random_chordal,
     reduced_betti,
     two_triangles,
 )
+from raagnorm.characters import require_integral, require_nonzero, require_primitive
 from raagnorm.verify import SplitMix64, random_primitive_character
+from test_complexes import random_graph
 
 
 # -- Character -----------------------------------------------------------------
@@ -48,6 +53,96 @@ def test_primitive_returns_a_primitive_character_itself():
     assert g == 2 and prim == phi and prim is not psi
     prim, g = Character({"a": -5}).primitive()
     assert g == 5 and prim == Character({"a": -1})
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except RaagError as exc:
+        return "raised", type(exc)
+
+
+def _gates(phi):
+    return [
+        lambda: phi.is_zero,
+        lambda: phi.is_integral,
+        lambda: phi.is_primitive,
+        phi.gcd,
+        lambda: phi.primitive()[1],
+        lambda: require_integral(phi),
+        lambda: require_nonzero(phi),
+        lambda: require_primitive(phi),
+    ]
+
+
+class _Walked:
+    """The character facts the gates read, recomputed from the values on
+    every call."""
+
+    def __init__(self, values):
+        self.vals = [Fraction(x) for x in values.values()]
+
+    @property
+    def is_zero(self):
+        return all(x == 0 for x in self.vals)
+
+    @property
+    def is_integral(self):
+        return all(x.denominator == 1 for x in self.vals)
+
+    def gcd(self):
+        if not self.is_integral:
+            raise NotIntegralError("not integral")
+        return math.gcd(*[x.numerator for x in self.vals])
+
+    @property
+    def is_primitive(self):
+        return self.is_integral and self.gcd() == 1
+
+    def primitive(self):
+        if self.is_zero:
+            raise ZeroCharacterError("zero")
+        return None, self.gcd()
+
+
+def test_character_gates_keep_their_answers():
+    cases = [
+        {},
+        {"a": 0, "b": 0},
+        {"a": "1/2", "b": 0},
+        {"a": 0, "b": "-3/4"},
+        {"a": 4, "b": -6, "c": 0},
+        {"a": -1, "b": 0},
+        {"a": 3, "b": 5},
+        {"a": 10**40, "b": 15},
+    ]
+    for values in cases:
+        expected = [_outcome(gate) for gate in _gates(_Walked(values))]
+        phi = Character(values)
+        assert [_outcome(gate) for gate in _gates(phi)] == expected
+        assert [_outcome(gate) for gate in _gates(phi)] == expected  # kept answers
+        # A fresh character asked in the opposite order answers the same.
+        backwards = [_outcome(gate) for gate in reversed(_gates(Character(values)))]
+        assert backwards[::-1] == expected
+
+
+def test_character_walks_its_values_once():
+    class CountingDict(dict):
+        walks = 0
+
+        def values(self):
+            CountingDict.walks += 1
+            return super().values()
+
+    phi = Character({"a": 6, "b": -4, "c": 0})
+    phi._values = CountingDict(phi._values)
+    for _ in range(3):
+        require_primitive(phi.scale(Fraction(1, 2)))
+        assert phi.gcd() == 2 and phi.is_integral and not phi.is_zero
+        assert phi.primitive()[1] == 2
+        with pytest.raises(NotPrimitiveError):
+            require_primitive(phi)
+    assert CountingDict.walks == 1
 
 
 def test_character_rejects_floats_and_bad_docs():
@@ -155,6 +250,37 @@ def test_kernel_euler_two_code_paths_agree():
             assert euler_raag(link) == chi_link  # second route to the same number
             via_betti += abs(phi.value(v)) * chi_link
         assert direct == via_betti
+
+
+def test_kernel_betti_alternating_sum_is_the_kernel_euler():
+    """Two routes: link Betti numbers off the star read-off against one
+    built link per vertex, counted."""
+    rng = SplitMix64(23)
+    cases = [random_chordal(2 + seed % 12, seed * 13 + 7) for seed in range(20)]
+    cases += [plant_cycle(random_chordal(10, seed), 4 + seed % 4, "h") for seed in range(10)]
+    cases += [random_graph(8 + seed % 5, 300 + seed, 60) for seed in range(15)]
+    for L in cases:
+        phi = random_primitive_character(L, rng)
+        betti = l2_betti_kernel(L, phi)
+        assert sum(b if i % 2 == 0 else -b for i, b in enumerate(betti)) == (
+            l2_euler_kernel(L, phi)
+        )
+
+
+def test_kernel_betti_builds_no_link(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("l2_betti_kernel built a subcomplex")
+
+    cases = []
+    for L in (plant_cycle(random_chordal(15, 4), 6, "h"), random_graph(10, 9, 70)):
+        phi = Character({v: k + 1 for k, v in enumerate(L.vertices)})
+        links = [(k + 1, reduced_betti(L.link(v))) for k, v in enumerate(L.vertices)]
+        want = [sum(w * rb.rank(i - 1) for w, rb in links) for i in range(6)]
+        cases.append((FlagComplex(L.vertices, L.edges()), phi, want))
+    monkeypatch.setattr(FlagComplex, "link", refuse)
+    monkeypatch.setattr(FlagComplex, "induced", refuse)
+    for L, phi, want in cases:
+        assert l2_betti_kernel(L, phi, max_i=5) == want
 
 
 def test_cut_rank_bridge_identity():

@@ -18,6 +18,7 @@ from raagnorm import (
     thurston_norm,
     two_triangles,
 )
+from raagnorm.polytopes import is_one_ended, require_one_ended_coherent
 from raagnorm.verify import SplitMix64, random_character
 
 AMBIENT = ("a", "b", "c")
@@ -153,6 +154,23 @@ def test_polytope_domain_gates(c4):
         l2_polytope(FlagComplex(["a", "b"]))
     with pytest.raises(NotOneEndedError):
         l2_polytope(FlagComplex(["a"]))
+
+
+def test_one_ended_predicate_backs_the_gate():
+    cases = {
+        FlagComplex([]): DisconnectedError,
+        FlagComplex(["a"]): NotOneEndedError,
+        FlagComplex(["a", "b"]): DisconnectedError,
+        FlagComplex(["a", "b"], [("a", "b")]): None,
+        random_chordal(9, 2): None,
+    }
+    for L, error in cases.items():
+        assert is_one_ended(L) is (error is None)
+        if error is None:
+            require_one_ended_coherent(L)
+        else:
+            with pytest.raises(error):
+                require_one_ended_coherent(L)
 
 
 # -- the norm ---------------------------------------------------------------------

@@ -8,9 +8,11 @@ from raagnorm import (
     Character,
     FlagComplex,
     NotIntegralError,
+    ReducedBettiVector,
     ZeroCharacterError,
     cross_check,
     is_chordal,
+    link_betti,
     plant_cycle,
     random_chordal,
     run_suite,
@@ -18,6 +20,7 @@ from raagnorm import (
     verify_induced_cycle,
     verify_peo,
 )
+from raagnorm import verify
 from raagnorm.verify import SplitMix64, random_character, random_primitive_character
 
 
@@ -226,3 +229,24 @@ def test_run_suite_is_deterministic():
     a = run_suite({"samples": 10, "max_n": 6, "seed": 99})
     b = run_suite({"samples": 10, "max_n": 6, "seed": 99})
     assert a == b
+
+
+def test_cut_rank_check_reads_the_star_and_catches_a_wrong_link(monkeypatch):
+    def refuse(self, v):
+        raise AssertionError("the cut-rank check built a link")
+
+    monkeypatch.setattr(FlagComplex, "link", refuse)
+    result = verify.check_contractibility_and_cut_rank(20, 31, max_n=14)
+    assert result.passed == 20 and result.failed == 0
+
+    def one_more_component(L):
+        betti = link_betti(L)
+        v = L.vertices[-1]
+        rb = betti[v]
+        betti[v] = ReducedBettiVector((0, rb.rank(0) + 1) + rb.betti[2:], max(rb.top_dim, 0))
+        return betti
+
+    monkeypatch.setattr(verify, "link_betti", one_more_component)
+    result = verify.check_contractibility_and_cut_rank(10, 31, min_n=2, max_n=14)
+    assert result.failed == 10
+    assert {f["reason"] for f in result.failures} == {"cut rank mismatch"}
