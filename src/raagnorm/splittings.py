@@ -57,10 +57,31 @@ class Amalgam:
     edge_groups: tuple
 
 
+def _is_clique(L: FlagComplex, vertices) -> bool:
+    """Whether every two positions of ``vertices`` hold adjacent vertices of
+    ``L``, after checking that each one is a vertex of ``L``. A repeated
+    vertex is not adjacent to itself, so a tuple with one is no clique."""
+    vertices = tuple(vertices)
+    for v in vertices:
+        L.index(v)
+    return all(
+        L.has_edge(v, w) for i, v in enumerate(vertices) for w in vertices[i + 1 :]
+    )
+
+
 def euler_of(descriptor, L: FlagComplex) -> Fraction:
-    """Euler characteristic of the described group."""
+    """Euler characteristic of the described group.
+
+    A parabolic subgroup on a clique is free abelian, Z^k, whose Euler
+    characteristic is 0 for k >= 1 and 1 for the trivial group (k = 0).
+    That closed form is read off |S|(|S|-1)/2 adjacency lookups; any other
+    vertex set is counted on its induced subcomplex.
+    """
     if isinstance(descriptor, Parabolic):
-        return Fraction(euler_raag(L.induced(descriptor.vertices)))
+        vertices = descriptor.vertices
+        if _is_clique(L, vertices):
+            return Fraction(0 if vertices else 1)
+        return Fraction(euler_raag(L.induced(vertices)))
     if isinstance(descriptor, BlockKernel):
         return descriptor.chi
     if isinstance(descriptor, Trivial):
@@ -78,9 +99,12 @@ def b1_of(descriptor, L: FlagComplex) -> Fraction:
     Every descriptor here names a finitely generated subgroup of a chordal
     complex's group, whose L2-homology is concentrated in degree one unless
     the group is trivial (Euler characteristic one); parabolic subgroups
-    contribute the reduced count of their components.
+    contribute the reduced count of their components, which is 0 on a
+    clique.
     """
     if isinstance(descriptor, Parabolic):
+        if _is_clique(L, descriptor.vertices):
+            return Fraction(0)
         sub = L.induced(descriptor.vertices)
         return Fraction(max(sub.component_count() - 1, 0))
     if isinstance(descriptor, Trivial):

@@ -42,6 +42,34 @@ def brute_simplices_by_dim(L):
     return levels
 
 
+def parabolic_euler_and_b1(L, vs):
+    """Euler characteristic and first L2-Betti number of the subgroup
+    generated by ``vs`` (repeats ignored), from its induced subcomplex: one
+    minus the alternating clique count, and the number of components minus
+    one (none for the empty set). Small vertex sets only."""
+    verts = sorted(set(vs), key=L.index)
+    counts = [
+        sum(1 for c in combinations(verts, size) if is_clique(L, c))
+        for size in range(1, len(verts) + 1)
+    ]
+    chi = 1 - sum((-1) ** d * f for d, f in enumerate(counts))
+    seen = set()
+    components = 0
+    for s in verts:
+        if s in seen:
+            continue
+        components += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in verts:
+                if w not in seen and L.has_edge(u, w):
+                    seen.add(w)
+                    stack.append(w)
+    return Fraction(chi), Fraction(max(components - 1, 0))
+
+
 def induces_cycle(L, vs):
     """True if the induced subgraph on vs is a single cycle of length >= 4."""
     vs = list(vs)

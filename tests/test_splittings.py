@@ -3,7 +3,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import parabolic_euler_and_b1
 from raagnorm import (
     Amalgam,
     BlockKernel,
@@ -17,6 +19,7 @@ from raagnorm import (
     ParseError,
     SplittingError,
     Trivial,
+    UnknownVertexError,
     ZeroCharacterError,
     b1_of,
     clique_tree_splitting,
@@ -34,6 +37,7 @@ from raagnorm import (
     two_triangles,
 )
 from raagnorm.verify import SplitMix64, random_character, random_primitive_character
+from test_complexes import random_graph
 
 
 # -- descriptors ---------------------------------------------------------------
@@ -55,6 +59,52 @@ def test_descriptor_b1(p3):
     assert b1_of(Trivial(), p3) == 0
     assert b1_of(BlockKernel(("a",), 1, Fraction(-3)), p3) == 3
     assert b1_of(BlockKernel(("a",), 1, Fraction(1)), p3) == 0  # trivial kernel
+
+
+@st.composite
+def parabolic_cases(draw):
+    """A complex, chordal or not, and a vertex tuple of it: part of a
+    maximal clique or any vertices, empty or not, possibly with a repeat."""
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        L = random_chordal(n, seed)
+        pool = draw(st.sampled_from([L.vertices] + L.maximal_cliques()))
+    else:
+        L = random_graph(n, seed, draw(st.integers(0, 100)))
+        pool = L.vertices
+    vs = draw(st.lists(st.sampled_from(pool), max_size=min(len(pool), 8), unique=True))
+    if vs and draw(st.booleans()):
+        vs.insert(draw(st.integers(0, len(vs))), draw(st.sampled_from(vs)))
+    return L, tuple(vs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parabolic_cases())
+def test_parabolic_descriptors_match_their_induced_subcomplex(case):
+    L, vs = case
+    chi, b1 = parabolic_euler_and_b1(L, vs)
+    assert euler_of(Parabolic(vs), L) == chi
+    assert b1_of(Parabolic(vs), L) == b1
+    for bad in (vs + ("unknown",), ("unknown",) + vs):
+        with pytest.raises(UnknownVertexError):
+            euler_of(Parabolic(bad), L)
+        with pytest.raises(UnknownVertexError):
+            b1_of(Parabolic(bad), L)
+
+
+@pytest.mark.parametrize("n", [5, 30, 200])
+def test_clique_tree_euler_check_builds_no_induced_copy(n, monkeypatch):
+    L = random_chordal(n, n + 17)
+
+    def refuse(*args):
+        raise AssertionError("called where it must not be")
+
+    monkeypatch.setattr(FlagComplex, "induced", refuse)
+    gog = clique_tree_splitting(L)
+    assert euler_check(gog) == 0
+    for g in gog.vertex_groups + tuple(e.group for e in gog.edges):
+        assert b1_of(g, L) == 0
 
 
 # -- clique-tree splittings ---------------------------------------------------------
