@@ -714,11 +714,17 @@ def find_separating_clique(L: FlagComplex, k0, k1) -> tuple:
 # -- spanning forests ----------------------------------------------------------
 
 
-def spanning_forest(n, pairs) -> int:
+def spanning_forest(n, pairs, parent=None) -> int:
     """Number of the ``pairs`` over ``range(n)`` that join two different
     classes (union-find), taken in order: each pair not counted closes a
-    cycle. The pairs may stream in; none is kept."""
-    parent = list(range(n))
+    cycle. The pairs may stream in; none is kept.
+
+    ``parent`` carries the union-find of an earlier call into this one,
+    first grown by the points up to ``n``; by default it starts afresh.
+    """
+    if parent is None:
+        parent = []
+    parent.extend(range(len(parent), n))
 
     def find(x):
         while parent[x] != x:

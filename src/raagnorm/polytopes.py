@@ -5,6 +5,13 @@ first homology of the group of a flag complex, identified with Z^V on the
 standard generators. Parallel generators merge and signs normalize away
 (translation invariance), so equality is equality of coefficient maps:
 no convex-hull machinery is ever needed.
+
+Storage is sparse throughout. An element keeps each direction as its
+nonzero ``(position, value)`` pairs, and a norm ball keeps only its
+weights; the dense coordinate tuples (``coeffs``, ``bounded_vertices``,
+``lineality_basis``) and the JSON documents are views derived on demand.
+So ``l2_polytope``, ``thickness`` and ``norm_ball`` are linear in the
+number of vertices once the cut ranks are known.
 """
 
 from __future__ import annotations
@@ -21,56 +28,77 @@ from .rationals import format_rational
 ZERO = Fraction(0)
 
 
-def _canonical_direction(vec):
-    """Primitive, sign-canonical direction and its multiplier.
+def _primitive(pairs):
+    """Primitive, sign-canonical form of a sparse direction and its
+    multiplier.
 
-    Returns ``None`` for the zero vector (a point segment is a translation,
-    hence neutral).
+    ``pairs`` are the direction's nonzero ``(position, value)`` entries in
+    position order. The result divides them by their gcd and makes the
+    leading value positive; it is ``None`` for the zero vector (a point
+    segment is a translation, hence neutral).
     """
     g = 0
-    for x in vec:
-        g = math.gcd(g, abs(x))
+    for _, x in pairs:
+        g = math.gcd(g, x)
     if g == 0:
         return None
-    # Tuples of vertex-count length are built from lists: tuple() over a
-    # generator grows its result by resizing, and CPython parks each resized
-    # tuple in a free list of its final length that only a full garbage
-    # collection empties, so a long run of small complexes holds on to them.
-    direction = tuple([x // g for x in vec])
-    for x in direction:
-        if x != 0:
-            if x < 0:
-                direction = tuple([-y for y in direction])
-            break
-    return direction, g
+    signed = -g if pairs[0][1] < 0 else g
+    return tuple([(i, x // signed) for i, x in pairs]), g
 
 
 class ZonotopeElement:
     """Formal difference of zonotopes over a fixed ambient vertex order.
 
-    ``coeffs`` maps primitive sign-canonical integer directions (tuples of
-    length ``len(ambient)``) to nonzero integers; the element stands for the
-    combination sum of coeff * [0, direction], up to translation.
+    The element stands for the combination sum of coeff * [0, direction],
+    up to translation. It keeps one dict from sparse directions to nonzero
+    integer coefficients: a direction is the tuple of its nonzero
+    ``(position, value)`` pairs in position order, primitive and with a
+    positive leading value. The constructor takes dense generators
+    (``(vector, coeff)`` with vectors of length ``len(ambient)``).
+
+    ``coeffs`` is a read-only dense view, built on each read: primitive
+    sign-canonical direction tuples of length ``len(ambient)``, in sorted
+    order, mapped to their coefficients.
     """
 
-    __slots__ = ("ambient", "coeffs")
+    __slots__ = ("ambient", "_terms")
 
     def __init__(self, ambient, generators=()):
         self.ambient = tuple(ambient)
         n = len(self.ambient)
-        acc = {}
+        terms = {}
         for vec, coeff in generators:
-            vec = tuple([int(x) for x in vec])
+            vec = [int(x) for x in vec]
             if len(vec) != n:
                 raise AmbientMismatchError(
                     f"direction of length {len(vec)} in an ambient of rank {n}"
                 )
-            canon = _canonical_direction(vec)
+            canon = _primitive([(i, x) for i, x in enumerate(vec) if x])
             if canon is None:
                 continue
             direction, mult = canon
-            acc[direction] = acc.get(direction, 0) + mult * int(coeff)
-        self.coeffs = {d: c for d, c in sorted(acc.items()) if c != 0}
+            terms[direction] = terms.get(direction, 0) + mult * int(coeff)
+        self._terms = {d: c for d, c in terms.items() if c != 0}
+
+    @classmethod
+    def _from_terms(cls, ambient: tuple, terms: dict):
+        """An element from canonical sparse directions and nonzero
+        coefficients, taken as they are."""
+        z = cls.__new__(cls)
+        z.ambient = ambient
+        z._terms = terms
+        return z
+
+    @property
+    def coeffs(self) -> dict:
+        n = len(self.ambient)
+        dense = []
+        for d, c in self._terms.items():
+            row = [0] * n
+            for i, x in d:
+                row[i] = x
+            dense.append((tuple(row), c))
+        return dict(sorted(dense))
 
     # -- group structure ------------------------------------------------------
 
@@ -82,12 +110,19 @@ class ZonotopeElement:
         if not isinstance(other, ZonotopeElement):
             return NotImplemented
         self._check_same_ambient(other)
-        return ZonotopeElement(
-            self.ambient, list(self.coeffs.items()) + list(other.coeffs.items())
-        )
+        terms = dict(self._terms)
+        for d, c in other._terms.items():
+            total = terms.get(d, 0) + c
+            if total:
+                terms[d] = total
+            else:
+                del terms[d]
+        return ZonotopeElement._from_terms(self.ambient, terms)
 
     def __neg__(self):
-        return ZonotopeElement(self.ambient, [(d, -c) for d, c in self.coeffs.items()])
+        return ZonotopeElement._from_terms(
+            self.ambient, {d: -c for d, c in self._terms.items()}
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -95,10 +130,10 @@ class ZonotopeElement:
     def __eq__(self, other):
         if not isinstance(other, ZonotopeElement):
             return NotImplemented
-        return self.ambient == other.ambient and self.coeffs == other.coeffs
+        return self.ambient == other.ambient and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ambient, tuple(sorted(self.coeffs.items()))))
+        return hash((self.ambient, frozenset(self._terms.items())))
 
     def __repr__(self):
         terms = " + ".join(f"{c}*[0,{list(d)}]" for d, c in self.coeffs.items())
@@ -106,19 +141,19 @@ class ZonotopeElement:
 
     @property
     def is_neutral(self):
-        return not self.coeffs
+        return not self._terms
 
     @property
     def is_single(self) -> bool:
         """True when the element is an honest zonotope (no negative parts)."""
-        return all(c >= 0 for c in self.coeffs.values())
+        return all(c >= 0 for c in self._terms.values())
 
     # -- serialization ----------------------------------------------------------
 
     def to_json_doc(self):
         return {
             "generators": [
-                {"dir": list(d), "coeff": c} for d, c in sorted(self.coeffs.items())
+                {"dir": list(d), "coeff": c} for d, c in self.coeffs.items()
             ]
         }
 
@@ -139,7 +174,8 @@ class ZonotopeElement:
 
 
 def thickness(z: ZonotopeElement, phi: Character) -> Fraction:
-    """Width of the element along ``phi``: sum of coeff * |phi(direction)|.
+    """Width of the element along ``phi``: sum of coeff * |phi(direction)|,
+    each pairing taken over the direction's support.
 
     A zonotope's extent along a functional is the sum of its generators'
     extents, so this extends the polytope width linearly to formal
@@ -147,10 +183,10 @@ def thickness(z: ZonotopeElement, phi: Character) -> Fraction:
     """
     if phi.support_domain != frozenset(z.ambient):
         raise AmbientMismatchError("character domain does not match the ambient")
-    values = [phi.value(v) for v in z.ambient]
+    ambient = z.ambient
     total = ZERO
-    for d, c in z.coeffs.items():
-        pairing = sum((x * values[i] for i, x in enumerate(d) if x), start=ZERO)
+    for d, c in z._terms.items():
+        pairing = sum((x * phi.value(ambient[i]) for i, x in d), start=ZERO)
         total += c * abs(pairing)
     return total
 
@@ -192,12 +228,10 @@ def l2_polytope(L: FlagComplex) -> ZonotopeElement:
     a single polytope (all coefficients are nonnegative).
     """
     require_one_ended_coherent(L)
-    gens = [
-        (_unit(len(L.vertices), i, 1, 0), w)
-        for i, w in enumerate(cut_rank_weights(L).values())
-        if w
-    ]
-    return ZonotopeElement(L.vertices, gens)
+    terms = {
+        ((i, 1),): w for i, w in enumerate(cut_rank_weights(L).values()) if w
+    }
+    return ZonotopeElement._from_terms(L.vertices, terms)
 
 
 def thurston_norm(L: FlagComplex, phi: Character) -> Fraction:
@@ -214,19 +248,36 @@ class NormBall:
     """The unit ball {phi : sum weights[v] * |phi_v| <= 1} in coordinates
     dual to the standard generators.
 
-    ``bounded_vertices`` are the extreme points +-e_v / weight for positive
-    weights; ``lineality_basis`` spans the degenerate directions. With all
-    weights zero the ball is the whole space.
+    The ball keeps only its vertex order and weights. ``bounded_vertices``
+    (the extreme points +-e_v / weight for positive weights, in vertex
+    order) and ``lineality_basis`` (the unit vectors e_v of zero weight,
+    spanning the degenerate directions) are read-only dense views, built on
+    each read. With all weights zero the ball is the whole space.
     """
 
     vertex_order: tuple
     weights: dict
-    bounded_vertices: tuple
-    lineality_basis: tuple
+
+    @property
+    def bounded_vertices(self) -> tuple:
+        n = len(self.vertex_order)
+        return tuple(
+            _unit(n, i, Fraction(sign, w), ZERO)
+            for i, w in enumerate(self.weights[v] for v in self.vertex_order)
+            if w
+            for sign in (1, -1)
+        )
+
+    @property
+    def lineality_basis(self) -> tuple:
+        n = len(self.vertex_order)
+        return tuple(
+            _unit(n, i, 1, 0) for i, v in enumerate(self.vertex_order) if not self.weights[v]
+        )
 
     @property
     def is_whole_space(self):
-        return not self.bounded_vertices
+        return not any(self.weights.values())
 
     def contains(self, phi: Character) -> bool:
         total = sum(
@@ -247,14 +298,4 @@ class NormBall:
 
 def norm_ball(L: FlagComplex) -> NormBall:
     require_one_ended_coherent(L)
-    weights = cut_rank_weights(L)
-    n = len(L.vertices)
-    bounded = []
-    lineality = []
-    for i, w in enumerate(weights.values()):
-        if w:
-            for sign in (1, -1):
-                bounded.append(_unit(n, i, Fraction(sign, w), ZERO))
-        else:
-            lineality.append(_unit(n, i, 1, 0))
-    return NormBall(L.vertices, weights, tuple(bounded), tuple(lineality))
+    return NormBall(L.vertices, cut_rank_weights(L))

@@ -599,9 +599,17 @@ class CoverTruncation:
 
 
 def cyclic_cover_truncation(gog: GraphOfGroups, phi: Character, k: int) -> CoverTruncation:
-    """Build the window with vertices v_i, |i| <= k, and one lift of each
-    loop from v_i to v_(i + phi(t_e)) whenever both ends are in range;
-    the lifts are counted as they stream into the forest test, not kept."""
+    """The window with vertices v_i, |i| <= k, and one lift of each loop
+    from v_i to v_(i + m), m = phi(t_e), whenever both ends are in range.
+
+    The window is the graph on 2k + 1 consecutive points with an edge
+    i ~ i + |m| per letter, so a letter has max(0, 2k + 1 - |m|) lifts.
+    From two points on, connectivity is monotone in the window length (a
+    new end point joins through any step no longer than the window), so
+    one union-find grows the window a point at a time and stops once it
+    connects or holds all 2k + 1 points: the cost depends on the letters,
+    not on k.
+    """
     if not gog.single_vertex:
         raise SplittingError("truncation is defined for single-vertex splittings")
     if k < 0:
@@ -614,22 +622,22 @@ def cyclic_cover_truncation(gog: GraphOfGroups, phi: Character, k: int) -> Cover
     for value in values:
         if value.denominator != 1 or value == 0:
             raise SplittingError("stable letters must have nonzero integer values")
-        steps.append(value.numerator)
-        g = math.gcd(g, abs(value.numerator))
+        steps.append(abs(value.numerator))
+        g = math.gcd(g, steps[-1])
     if g != 1:
         raise SplittingError("stable letter values must have gcd 1")
 
-    counts = [0] * len(steps)
-
-    def lifts():
-        # Copies v_-k .. v_k are points 0 .. 2k of the forest.
-        for idx, m in enumerate(steps):
-            for i in range(-k, k + 1):
-                if -k <= i + m <= k:
-                    counts[idx] += 1
-                    yield i + k, i + m + k
-
-    connected = spanning_forest(2 * k + 1, lifts()) == 2 * k
+    size = 2 * k + 1
+    counts = [max(0, size - m) for m in steps]
+    connected = size == 1
+    parent = []
+    joined = 0
+    for j in range(1, size):
+        # Point j joins the window 0 .. j - 1 through every step that fits.
+        joined += spanning_forest(j + 1, [(j - m, j) for m in steps if m <= j], parent)
+        if joined == j:
+            connected = True
+            break
 
     b1_vertex = b1_of(gog.vertex_groups[0], gog.complex)
     vertex_rank_sum = (2 * k + 1) * b1_vertex

@@ -6,6 +6,7 @@ linear algebra, sharing no code path with the library internals it checks.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 
 def is_clique(L, vs):
@@ -217,3 +218,152 @@ def reference_splitmix64(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+# -- the dense zonotope group and norm ball ------------------------------------
+
+
+def _canonical_direction(vec):
+    """Primitive, sign-canonical direction and its multiplier; ``None`` for
+    the zero vector (a point segment is a translation, hence neutral)."""
+    g = 0
+    for x in vec:
+        g = gcd(g, abs(x))
+    if g == 0:
+        return None
+    direction = tuple(x // g for x in vec)
+    for x in direction:
+        if x != 0:
+            if x < 0:
+                direction = tuple(-y for y in direction)
+            break
+    return direction, g
+
+
+class DenseZonotope:
+    """Formal difference of zonotopes kept as a dict from dense primitive
+    sign-canonical direction tuples (length ``len(ambient)``, in sorted
+    order) to nonzero coefficients, with the same interface as the
+    library's ``ZonotopeElement``."""
+
+    def __init__(self, ambient, generators=()):
+        self.ambient = tuple(ambient)
+        acc = {}
+        for vec, coeff in generators:
+            vec = tuple(int(x) for x in vec)
+            if len(vec) != len(self.ambient):
+                raise ValueError("direction length differs from the ambient rank")
+            canon = _canonical_direction(vec)
+            if canon is None:
+                continue
+            direction, mult = canon
+            acc[direction] = acc.get(direction, 0) + mult * int(coeff)
+        self.coeffs = {d: c for d, c in sorted(acc.items()) if c != 0}
+
+    def __add__(self, other):
+        assert self.ambient == other.ambient
+        return DenseZonotope(
+            self.ambient, list(self.coeffs.items()) + list(other.coeffs.items())
+        )
+
+    def __neg__(self):
+        return DenseZonotope(self.ambient, [(d, -c) for d, c in self.coeffs.items()])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        return self.ambient == other.ambient and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.ambient, tuple(sorted(self.coeffs.items()))))
+
+    @property
+    def is_neutral(self):
+        return not self.coeffs
+
+    @property
+    def is_single(self):
+        return all(c >= 0 for c in self.coeffs.values())
+
+    def to_json_doc(self):
+        return {
+            "generators": [
+                {"dir": list(d), "coeff": c} for d, c in sorted(self.coeffs.items())
+            ]
+        }
+
+
+def dense_thickness(z, phi):
+    """Sum of coeff * |phi(direction)|, pairing every coordinate."""
+    values = [phi.value(v) for v in z.ambient]
+    total = Fraction(0)
+    for d, c in z.coeffs.items():
+        total += c * abs(sum((x * values[i] for i, x in enumerate(d)), start=Fraction(0)))
+    return total
+
+
+def _dense_unit(n, i, value, zero):
+    row = [zero] * n
+    row[i] = value
+    return tuple(row)
+
+
+def dense_l2_polytope(L):
+    """Cut-rank multiples of the coordinate segments, as dense vectors, with
+    cut ranks recounted by :func:`recount_cut_rank`."""
+    n = len(L.vertices)
+    return DenseZonotope(
+        L.vertices,
+        [(_dense_unit(n, i, 1, 0), recount_cut_rank(L, v)) for i, v in enumerate(L.vertices)],
+    )
+
+
+def dense_norm_ball(L):
+    """``(weights, bounded_vertices, lineality_basis, json document)`` of
+    the cut-rank norm ball, every vertex and lineality vector built densely,
+    with cut ranks recounted by :func:`recount_cut_rank`."""
+    n = len(L.vertices)
+    weights = {v: recount_cut_rank(L, v) for v in L.vertices}
+    bounded, lineality = [], []
+    for i, v in enumerate(L.vertices):
+        w = weights[v]
+        if w:
+            for sign in (1, -1):
+                bounded.append(_dense_unit(n, i, Fraction(sign, w), Fraction(0)))
+        else:
+            lineality.append(_dense_unit(n, i, 1, 0))
+    doc = {
+        "weights": dict(weights),
+        "vertices": [[str(x) for x in p] for p in bounded],
+        "lineality": [list(b) for b in lineality],
+    }
+    return weights, tuple(bounded), tuple(lineality), doc
+
+
+# -- cyclic cover windows ----------------------------------------------------------
+
+
+def streamed_window(steps, k):
+    """Lift count per step and connectivity of the window on the points
+    -k .. k with an edge i ~ i + m for every step m that fits, by streaming
+    every lift through a union-find over all 2k + 1 points."""
+    parent = list(range(2 * k + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    counts = [0] * len(steps)
+    joined = 0
+    for idx, m in enumerate(steps):
+        for i in range(-k, k + 1):
+            if -k <= i + m <= k:
+                counts[idx] += 1
+                ra, rb = find(i + k), find(i + m + k)
+                if ra != rb:
+                    parent[ra] = rb
+                    joined += 1
+    return counts, joined == 2 * k

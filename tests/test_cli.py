@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -470,3 +471,26 @@ def test_format_rational_at_the_digit_limit():
     for q in (10**limit, -(10**limit), Fraction(1, 10**limit)):
         with pytest.raises(ResultTooLargeError):
             format_rational(q)
+
+
+def test_truncation_far_past_memory_in_a_child_process(files):
+    # 2 * 10**9 + 1 window points would not fit in 400 MiB of address space.
+    src = os.path.dirname(os.path.dirname(raagnorm.__file__))
+    limit = 400 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "raagnorm.cli", "--compact", "split", "--truncate",
+         "1000000000", "--complex", files("p3.json", P3),
+         "--char", files("phi.json", '{"values":{"a":1,"b":0,"c":1}}')],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.count("\n") == 1
+    truncation = json.loads(proc.stdout)["truncation"]
+    assert truncation["vertex_count"] == 2 * 10**9 + 1
+    assert truncation["lift_counts"] == [2 * 10**9, 2 * 10**9] and truncation["connected"]
+    assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from raagnorm import (
 )
 from raagnorm.polytopes import is_one_ended, require_one_ended_coherent
 from raagnorm.verify import SplitMix64, random_character
+
+from oracles import DenseZonotope, dense_l2_polytope, dense_norm_ball, dense_thickness
 
 AMBIENT = ("a", "b", "c")
 
@@ -250,3 +253,77 @@ def test_ball_json(star3):
     assert doc["weights"] == {"c": 2, "x": 0, "y": 0, "z": 0}
     assert doc["vertices"] == [["1/2", "0", "0", "0"], ["-1/2", "0", "0", "0"]]
     assert doc["lineality"] == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+# -- sparse storage against the dense oracle ----------------------------------------
+
+
+@st.composite
+def generator_lists(draw, rank):
+    """Dense generators over an ambient of ``rank``: a few base vectors
+    (zero vectors and negative entries included), each drawn again as
+    parallel multiples of either sign, and some generators repeated with
+    the opposite coefficient so that they cancel."""
+    vector = st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)
+    base = draw(st.lists(st.one_of(vector, st.just([0] * rank)), min_size=1, max_size=4))
+    gens = []
+    for _ in range(draw(st.integers(0, 8))):
+        vec = draw(st.sampled_from(base))
+        mult = draw(st.integers(-3, 3))
+        gens.append(([mult * x for x in vec], draw(st.integers(-3, 3))))
+    for vec, coeff in draw(st.lists(st.sampled_from(gens), max_size=3)) if gens else ():
+        gens.append((vec, -coeff))
+    return gens
+
+
+@st.composite
+def element_pairs(draw):
+    rank = draw(st.integers(1, 8))
+    ambient = tuple(f"x{i}" for i in range(rank))
+    values = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                           min_size=rank, max_size=rank))
+    phi = Character(dict(zip(ambient, values)))
+    return ambient, draw(generator_lists(rank)), draw(generator_lists(rank)), phi
+
+
+def same_element(lib, oracle):
+    assert list(lib.coeffs.items()) == list(oracle.coeffs.items())
+    assert json.dumps(lib.to_json_doc()) == json.dumps(oracle.to_json_doc())
+    assert lib.is_single == oracle.is_single
+    assert lib.is_neutral == oracle.is_neutral
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+def test_sparse_element_matches_the_dense_oracle(case):
+    ambient, gens1, gens2, phi = case
+    x, y = ZonotopeElement(ambient, gens1), ZonotopeElement(ambient, gens2)
+    ox, oy = DenseZonotope(ambient, gens1), DenseZonotope(ambient, gens2)
+    for lib, oracle in ((x, ox), (y, oy), (x + y, ox + oy), (x - y, ox - oy), (-x, -ox)):
+        same_element(lib, oracle)
+        assert thickness(lib, phi) == dense_thickness(oracle, phi)
+    assert (x == y) == (ox == oy)
+    if x == y:
+        assert hash(x) == hash(y)
+    rebuilt = (x + y) - y
+    assert rebuilt == x and hash(rebuilt) == hash(x)
+    assert ZonotopeElement.from_json_doc(x.to_json_doc(), ambient) == x
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 40])
+def test_polytope_and_ball_match_the_dense_oracle(n):
+    rng = SplitMix64(n)
+    for seed in range(6):
+        L = random_chordal(n, 31 * n + seed)
+        z, oz = l2_polytope(L), dense_l2_polytope(L)
+        same_element(z, oz)
+        assert z == ZonotopeElement(L.vertices, oz.coeffs.items())
+        phi = random_character(L, rng)
+        assert thickness(z, phi) == dense_thickness(oz, phi)
+        ball = norm_ball(L)
+        weights, bounded, lineality, doc = dense_norm_ball(L)
+        assert ball.weights == weights
+        assert ball.bounded_vertices == bounded
+        assert ball.lineality_basis == lineality
+        assert json.dumps(ball.to_json_doc()) == json.dumps(doc)
+        assert ball.is_whole_space == (not bounded)

@@ -1,6 +1,7 @@
 """Linear-time structure at 10^3-10^4 vertices, exact homology on a dense
-complex, the clique tree's Euler bookkeeping at 10^4 vertices, and the
-three-way equality past 65 vertices on the public path.
+complex, the clique tree's Euler bookkeeping and the sparse polytope and
+norm ball at 10^4 vertices, and the three-way equality past 65 vertices on
+the public path.
 
 Each sparse input is a tree of blocks whose block counts are known by
 construction, so the semi-norm has the closed form
@@ -27,9 +28,12 @@ from raagnorm import (
     is_chordal,
     l2_betti_kernel,
     l2_euler_kernel,
+    l2_polytope,
+    norm_ball,
     plant_cycle,
     random_chordal,
     reduced_betti,
+    thickness,
     thurston_norm,
 )
 from raagnorm.cli import main
@@ -200,3 +204,12 @@ def test_cli_over_budget_is_one_clique_cap_document(chordal_1000, tmp_path, caps
     error = json.loads(captured.out)["error"]  # exactly one document
     assert error["kind"] == "clique_cap" and error["budget"] == 1000
     assert "Traceback" not in captured.err
+
+
+def test_sparse_polytope_and_ball_at_10k():
+    L = random_chordal(10**4, 7)
+    phi = Character({v: i % 7 - 3 for i, v in enumerate(L.vertices)})
+    z = l2_polytope(L)
+    assert thickness(z, phi) == thurston_norm(L, phi) > 0
+    assert all(len(direction) == 1 for direction in z._terms)
+    assert norm_ball(L).weights == {v: L.cut_rank(v) for v in L.vertices}

@@ -1,11 +1,12 @@
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import parabolic_euler_and_b1
+from oracles import parabolic_euler_and_b1, streamed_window
 from raagnorm import (
     Amalgam,
     BlockKernel,
@@ -561,3 +562,40 @@ def test_main_equality_through_splittings():
         phi = random_primitive_character(L, rng)
         gog, report = dual_splitting(L, phi)
         assert report.complexity == -l2_euler_kernel(L, phi) == thurston_norm(L, phi)
+
+
+def window_case(steps):
+    """A single-vertex splitting whose stable letters take the values
+    ``steps``: the vertex group has first L2-Betti number 1 (two
+    components), and the edge groups alternate between 1 and 0."""
+    L = FlagComplex(["a", "b", "c"], [("a", "b")])
+    groups = [Parabolic(("a", "c")), Parabolic(("a",))]
+    edges = [GogEdge(0, 0, groups[i % 2], "parabolic") for i in range(len(steps))]
+    phi = Character({"a": 1, "b": 0, "c": 0})
+    letters = {i: Fraction(m) for i, m in enumerate(steps)}
+    gog = GraphOfGroups(L, [Parabolic(("a", "b", "c"))], edges, (), letters, phi)
+    return gog, phi, [parabolic_euler_and_b1(L, e.group.vertices)[1] for e in edges]
+
+
+def test_truncation_matches_the_streamed_window():
+    rng = SplitMix64(67)
+    step_sets = [[1], [-1, 1], [2, 3], [3, -5], [6, 10, 15], [4, 6, 9], [7, 12], [-1, 30]]
+    while len(step_sets) < 12:
+        steps = [(1 + rng.below(30)) * (1 - 2 * rng.below(2)) for _ in range(1 + rng.below(4))]
+        if math.gcd(*steps) == 1:
+            step_sets.append(steps)
+    for steps in step_sets:
+        gog, phi, edge_b1 = window_case(steps)
+        for k in range(301):
+            counts, connected = streamed_window(steps, k)
+            edge_rank_sum = sum((c * b for c, b in zip(counts, edge_b1)), start=Fraction(0))
+            expected = {
+                "k": k,
+                "vertex_count": 2 * k + 1,
+                "lift_counts": counts,
+                "connected": connected,
+                "vertex_rank_sum": str(2 * k + 1),
+                "edge_rank_sum": str(edge_rank_sum),
+                "rank_difference": str(2 * k + 1 - edge_rank_sum),
+            }
+            assert cyclic_cover_truncation(gog, phi, k).to_json_doc() == expected
