@@ -640,14 +640,14 @@ def cyclic_cover_truncation(gog: GraphOfGroups, phi: Character, k: int) -> Cover
             break
 
     b1_vertex = b1_of(gog.vertex_groups[0], gog.complex)
-    vertex_rank_sum = (2 * k + 1) * b1_vertex
+    vertex_rank_sum = size * b1_vertex
     edge_rank_sum = sum(
         (counts[idx] * b1_of(e.group, gog.complex) for idx, e in enumerate(gog.edges)),
         start=Fraction(0),
     )
     return CoverTruncation(
         k,
-        2 * k + 1,
+        size,
         tuple(counts),
         connected,
         vertex_rank_sum,
