@@ -271,8 +271,9 @@ def generator_lists(draw, rank):
         vec = draw(st.sampled_from(base))
         mult = draw(st.integers(-3, 3))
         gens.append(([mult * x for x in vec], draw(st.integers(-3, 3))))
-    for vec, coeff in draw(st.lists(st.sampled_from(gens), max_size=3)) if gens else ():
-        gens.append((vec, -coeff))
+    if gens:
+        for vec, coeff in draw(st.lists(st.sampled_from(gens), max_size=3)):
+            gens.append((vec, -coeff))
     return gens
 
 
