@@ -162,8 +162,9 @@ class Character:
 
 
 def check_domain(phi: Character, L: FlagComplex):
-    """The character's domain must be exactly the vertex set of ``L``."""
-    if phi.support_domain != frozenset(L.vertices):
+    """The character's domain must be exactly the vertex set of ``L``
+    (compared as key views, so no set is built)."""
+    if phi._values.keys() != L._index.keys():
         raise CharacterDomainError(
             "character domain does not match the complex's vertex set"
         )

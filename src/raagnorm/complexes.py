@@ -40,8 +40,13 @@ def _check_budget(count):
 class FlagComplex:
     """A finite simplicial graph; simplices are the cliques of the graph.
 
-    Instances are immutable and hashable. Equality compares the vertex
-    sequence (order matters) and the edge set. These invariants are
+    Instances are immutable and hashable. The graph is kept once, as the
+    vertex sequence with each vertex's position and its set of neighbours;
+    :meth:`edges` and the hash are derived from that adjacency. Equality
+    compares the vertex sequence (order matters) and the adjacency, that
+    is, the edge set. Only the public constructor checks its input; an
+    induced subcomplex, a link or a component is read off the already
+    checked adjacency of its parent. These invariants are
     computed on first use and kept on the instance: the chordality witness,
     the component vertex sets, the cut ranks, the maximal cliques with a
     clique tree, the f-vector (simplex count per dimension), the reduced
@@ -52,7 +57,7 @@ class FlagComplex:
     in equality, hashing or ``repr``.
     """
 
-    __slots__ = ("vertices", "_index", "_adj", "_edges", "_cache")
+    __slots__ = ("vertices", "_index", "_adj", "_cache")
 
     def __init__(self, vertices, edges=()):
         verts = tuple(vertices)
@@ -64,7 +69,6 @@ class FlagComplex:
                 raise ParseError(f"vertices[{i}]: duplicate vertex {v!r}")
             index[v] = i
         adj = {v: set() for v in verts}
-        edgeset = set()
         for pos, e in enumerate(edges):
             try:
                 a, b = e
@@ -75,17 +79,26 @@ class FlagComplex:
                     raise ParseError(f"edges[{pos}]: undeclared endpoint {x!r}")
             if a == b:
                 raise ParseError(f"edges[{pos}]: self-loop at {a!r}")
-            key = (a, b) if index[a] < index[b] else (b, a)
-            if key in edgeset:
+            if b in adj[a]:
                 raise ParseError(f"edges[{pos}]: duplicate edge {a!r}-{b!r}")
-            edgeset.add(key)
             adj[a].add(b)
             adj[b].add(a)
         self.vertices = verts
         self._index = index
         self._adj = adj
-        self._edges = frozenset(edgeset)
         self._cache = None
+
+    @classmethod
+    def _from_adjacency(cls, verts, adj):
+        """A complex on the distinct vertex strings ``verts`` whose
+        adjacency ``adj`` is already symmetric, loop-free and closed over
+        ``verts``: the parse checks are not repeated."""
+        K = cls.__new__(cls)
+        K.vertices = verts
+        K._index = dict(zip(verts, range(len(verts))))
+        K._adj = adj
+        K._cache = None
+        return K
 
     def _memo(self):
         """The per-instance memo of derived invariants; the slot stays None
@@ -113,10 +126,10 @@ class FlagComplex:
     def __eq__(self, other):
         if not isinstance(other, FlagComplex):
             return NotImplemented
-        return self.vertices == other.vertices and self._edges == other._edges
+        return self.vertices == other.vertices and self._adj == other._adj
 
     def __hash__(self):
-        return hash((self.vertices, self._edges))
+        return hash((self.vertices, frozenset(self._later_pairs())))
 
     def __repr__(self):
         return f"FlagComplex({list(self.vertices)!r}, {self.edges()!r})"
@@ -140,9 +153,19 @@ class FlagComplex:
         self.index(v)
         return self.sorted(self._adj[v])
 
+    def _later_pairs(self):
+        """Each edge once, as the index-ordered pair ``(v, w)``."""
+        idx = self._index
+        for v, near in self._adj.items():
+            i = idx[v]
+            for w in near:
+                if idx[w] > i:
+                    yield v, w
+
     def edges(self):
         """All edges as index-ordered pairs, lexicographically sorted."""
-        return sorted(self._edges, key=lambda e: (self._index[e[0]], self._index[e[1]]))
+        idx = self._index
+        return sorted(self._later_pairs(), key=lambda e: (idx[e[0]], idx[e[1]]))
 
     def to_json_doc(self):
         return {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges()]}
@@ -152,19 +175,17 @@ class FlagComplex:
     def induced(self, vs):
         """Induced subcomplex on ``vs``; vertex order is inherited.
 
-        Built from the adjacency of the kept vertices, in time proportional
-        to the result (plus sorting it).
+        Read off this complex's adjacency, ``adj[v] & keep`` per kept
+        vertex, in time proportional to the result (plus sorting it); the
+        parse checks are not repeated.
         """
         keep = set()
         for v in vs:
             self.index(v)
             keep.add(v)
-        idx = self._index
         adj = self._adj
-        verts = sorted(keep, key=idx.__getitem__)
-        return FlagComplex(
-            verts, [(v, w) for v in verts for w in adj[v] & keep if idx[v] < idx[w]]
-        )
+        verts = tuple(sorted(keep, key=self._index.__getitem__))
+        return FlagComplex._from_adjacency(verts, {v: adj[v] & keep for v in verts})
 
     def link(self, v):
         """Induced subcomplex on the neighbors of ``v``."""
@@ -214,6 +235,16 @@ class FlagComplex:
         chordal complexes only (see :func:`clique_tree`)."""
         return list(self._cached("clique_tree", _clique_tree)[0])
 
+    def _later_neighbours(self):
+        """Later neighbours of each vertex, appended in declaration order."""
+        idx = self._index
+        later = {v: [] for v in self.vertices}
+        for u, near in self._adj.items():
+            for w in near:
+                if idx[w] < idx[u]:
+                    later[w].append(u)
+        return later
+
     def simplices_by_dim(self):
         """All simplices, grouped by dimension, each lexicographically sorted.
 
@@ -230,16 +261,10 @@ class FlagComplex:
         total = len(self.vertices)
         _check_budget(total)
         adj = self._adj
-        idx = self._index
-        # Later neighbours of each vertex, appended in declaration order.
-        later = {v: [] for v in self.vertices}
-        for u in self.vertices:
-            for w in adj[u]:
-                if idx[w] < idx[u]:
-                    later[w].append(u)
+        later = self._later_neighbours()
         levels = []
         cur = [(v,) for v in self.vertices]
-        cands = [later[v] for v in self.vertices]
+        cands = list(later.values())
         while cur:
             levels.append(cur)
             total += sum(map(len, cands))
@@ -259,24 +284,54 @@ class FlagComplex:
     def f_vector(self):
         """Number of simplices in each dimension, from dimension 0 up.
 
-        Recorded by every :meth:`simplices_by_dim` run; enumerates only when
-        none has run yet.
+        Recorded by every :meth:`simplices_by_dim` run. When none has run
+        yet, each level is counted from the candidate lists of the level
+        below (one simplex per candidate), charged to
+        :data:`SIMPLEX_BUDGET` at the same points, and no simplex is built.
         """
-        if "f_vector" not in self._memo():
-            self.simplices_by_dim()
-        return self._cache["f_vector"]
+        memo = self._memo()
+        if "f_vector" in memo:
+            return memo["f_vector"]
+        adj = self._adj
+        size = total = len(self.vertices)
+        _check_budget(total)
+        counts = []
+        # Only candidate lists that have children matter for the counts.
+        cands = [c for c in self._later_neighbours().values() if c]
+        while size:
+            counts.append(size)
+            size = sum(map(len, cands))
+            total += size
+            _check_budget(total)
+            nxt = []
+            for cand in cands:
+                for i in range(len(cand) - 1):
+                    near = adj[cand[i]]
+                    child = [x for x in cand[i + 1 :] if x in near]
+                    if child:
+                        nxt.append(child)
+            cands = nxt
+        memo["f_vector"] = counts = tuple(counts)
+        return counts
 
 
 # -- cached structure ---------------------------------------------------------
 
 
-def _component_vertex_sets(L):
-    """Vertex tuples of the components, each in declaration order, ordered by
-    minimal vertex."""
+def _component_vertex_sets(L, vs=None):
+    """Vertex tuples of the components of ``L``, or of the subcomplex of
+    ``L`` induced on the vertices ``vs`` (not checked), each in declaration
+    order, ordered by minimal vertex. No subcomplex is built."""
     adj = L._adj
+    if vs is None:
+        order = L.vertices
+        inside = adj  # every vertex of L
+    else:
+        inside = set(vs)
+        order = sorted(inside, key=L._index.__getitem__)
     label = {}
     groups = []
-    for v in L.vertices:
+    for v in order:
         if v in label:
             continue
         c = len(groups)
@@ -286,10 +341,10 @@ def _component_vertex_sets(L):
         while stack:
             u = stack.pop()
             for w in adj[u]:
-                if w not in label:
+                if w not in label and w in inside:
                     label[w] = c
                     stack.append(w)
-    for v in L.vertices:
+    for v in order:
         groups[label[v]].append(v)
     return tuple(tuple(g) for g in groups)
 

@@ -180,13 +180,24 @@ def thickness(z: ZonotopeElement, phi: Character) -> Fraction:
     A zonotope's extent along a functional is the sum of its generators'
     extents, so this extends the polytope width linearly to formal
     differences and is a homomorphism to the rationals for fixed ``phi``.
+    An integral ``phi`` is paired and summed in ``int``, with one
+    ``Fraction`` at the end.
     """
-    if phi.support_domain != frozenset(z.ambient):
+    values = phi._values
+    if values.keys() != frozenset(z.ambient):
         raise AmbientMismatchError("character domain does not match the ambient")
     ambient = z.ambient
+    if phi.is_integral:
+        total = 0
+        for d, c in z._terms.items():
+            pairing = 0
+            for i, x in d:
+                pairing += x * values[ambient[i]].numerator
+            total += c * abs(pairing)
+        return Fraction(total)
     total = ZERO
     for d, c in z._terms.items():
-        pairing = sum((x * phi.value(ambient[i]) for i, x in d), start=ZERO)
+        pairing = sum((x * values[ambient[i]] for i, x in d), start=ZERO)
         total += c * abs(pairing)
     return total
 

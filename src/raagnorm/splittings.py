@@ -15,10 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import Character, check_domain, require_integral, require_nonzero
-from .complexes import FlagComplex, clique_tree, require_chordal, spanning_forest
+from .complexes import (
+    FlagComplex,
+    _component_vertex_sets,
+    clique_tree,
+    require_chordal,
+    spanning_forest,
+)
 from .errors import ParseError, SplittingError
 from .homology import euler_raag, link_euler
-from .l2 import living_subcomplex
 from .rationals import format_rational, parse_rational
 
 # -- group descriptors ---------------------------------------------------------
@@ -105,8 +110,8 @@ def b1_of(descriptor, L: FlagComplex) -> Fraction:
     if isinstance(descriptor, Parabolic):
         if _is_clique(L, descriptor.vertices):
             return Fraction(0)
-        sub = L.induced(descriptor.vertices)
-        return Fraction(max(sub.component_count() - 1, 0))
+        components = _component_vertex_sets(L, descriptor.vertices)
+        return Fraction(max(len(components) - 1, 0))
     if isinstance(descriptor, Trivial):
         return Fraction(0)
     e = euler_of(descriptor, L)
@@ -373,10 +378,13 @@ class SplittingReport:
 
 
 def living_blocks(L: FlagComplex, phi: Character) -> list:
-    """Connected components of the living subcomplex, as vertex tuples."""
-    living = living_subcomplex(L, phi)
+    """Connected components of the living subcomplex, as vertex tuples,
+    read off ``L`` without building the subcomplex."""
+    check_domain(phi, L)
     require_nonzero(phi)
-    return [c.vertices for c in living.components()]
+    return list(
+        _component_vertex_sets(L, [v for v in L.vertices if phi.value(v) != 0])
+    )
 
 
 def _connected_dual(L, phi):
@@ -388,7 +396,7 @@ def _connected_dual(L, phi):
     blocks = living_blocks(L, phi)
     living = {v for b in blocks for v in b}
     dead = [v for v in L.vertices if v not in living]
-    complements = L.induced(dead).components()
+    complements = _component_vertex_sets(L, dead)
     hoods = [L.one_neighborhood(b) for b in blocks]
 
     node_labels = [
@@ -396,11 +404,11 @@ def _connected_dual(L, phi):
         for b, h in zip(blocks, hoods)
     ]
     node_labels += [
-        {"role": "complement", "vertices": list(c.vertices)} for c in complements
+        {"role": "complement", "vertices": list(c)} for c in complements
     ]
     # Each dead vertex carries the index of its complement, so a hood meets
     # exactly the complements its dead vertices name.
-    label = {v: j for j, c in enumerate(complements) for v in c.vertices}
+    label = {v: j for j, c in enumerate(complements) for v in c}
     bip_edges = []
     for i, hood in enumerate(hoods):
         buckets = {}
@@ -409,8 +417,8 @@ def _connected_dual(L, phi):
             if j is not None:
                 buckets.setdefault(j, []).append(v)
         for j in sorted(buckets):
-            for piece in L.induced(buckets[j]).components():
-                bip_edges.append((i, len(blocks) + j, piece.vertices))
+            for piece in _component_vertex_sets(L, buckets[j]):
+                bip_edges.append((i, len(blocks) + j, piece))
     # Treeness is a theorem for chordal input; failure means a bug here.
     n_nodes = len(blocks) + len(complements)
     pairs = [(a, b) for a, b, _ in bip_edges]
@@ -432,7 +440,7 @@ def _connected_dual(L, phi):
                 shared.setdefault(i0, []).append(v)
             earlier.append(i)
         for overlap in shared.values():
-            if len(overlap) > 1 and L.induced(overlap).component_count() != 1:
+            if len(overlap) > 1 and len(_component_vertex_sets(L, overlap)) != 1:
                 raise AssertionError("block neighborhoods meet in a disconnected set")
 
     # N(v) lies in the block's neighbourhood, so the link of v there is its
@@ -451,9 +459,9 @@ def _connected_dual(L, phi):
         rows.append(BlockRow(b, k, chi, -k * chi))
 
     parts = tuple(g for g, _ in loops) + tuple(
-        Parabolic(c.vertices) for c in complements
+        Parabolic(c) for c in complements
     )
-    edge_groups = tuple(Parabolic(L.sorted(piece)) for _, _, piece in bip_edges)
+    edge_groups = tuple(Parabolic(piece) for _, _, piece in bip_edges)
     if len(parts) == 1 and not edge_groups:
         vertex_descriptor = parts[0]
     else:

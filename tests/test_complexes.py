@@ -31,7 +31,7 @@ from raagnorm import (
     verify_peo,
 )
 from raagnorm.complexes import spanning_forest
-from raagnorm.verify import SplitMix64, random_character
+from raagnorm.verify import SplitMix64, plant_cycle, random_character
 
 
 def random_graph(n, seed, density_percent=40):
@@ -213,6 +213,28 @@ def test_simplices_by_dim_matches_bruteforce(L):
     assert L.f_vector() == tuple(len(level) for level in levels)
 
 
+def test_f_vector_counts_without_enumerating(monkeypatch):
+    cases = [FlagComplex([]), random_graph(1, 3)]
+    cases += [random_graph(n, n + 11, 25 + 5 * n) for n in range(2, 13)]
+    cases += [random_chordal(n, n) for n in (5, 9, 14)]
+    expected = [tuple(map(len, brute_simplices_by_dim(L))) for L in cases]
+
+    def refuse(self):
+        raise AssertionError("f_vector built the simplices")
+
+    monkeypatch.setattr(FlagComplex, "simplices_by_dim", refuse)
+    for L, want in zip(cases, expected):
+        total = sum(want)
+        fresh = FlagComplex(L.vertices, L.edges())
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total - 1)
+        if total:
+            with pytest.raises(CliqueCapError):
+                fresh.f_vector()
+            assert not fresh._cache
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total)
+        assert fresh.f_vector() == want and fresh._cache == {"f_vector": want}
+
+
 # -- chordality -------------------------------------------------------------------
 
 
@@ -304,6 +326,77 @@ def test_components():
     )
     assert [c.vertices for c in mixed.components()] == [("a", "b", "c"), ("x", "y", "z")]
     assert not FlagComplex([]).is_connected()
+
+
+def subcomplex_cases():
+    """(vertices, edge list) of seeded graphs: chordal, chordal with a
+    planted hole, disconnected and holey random graphs in a shuffled
+    declaration order, and the empty graph."""
+    out = [((), [])]
+    for seed in range(6):
+        L = random_chordal(3 + 4 * seed, seed + 40)
+        out.append((L.vertices, L.edges()))
+        holey = plant_cycle(L, 4 + seed % 4, "h")
+        out.append((holey.vertices, holey.edges()))
+        G = random_graph(4 + 2 * seed, seed + 90, 20 + 5 * seed)
+        out.append((G.vertices[::-1], [(b, a) for a, b in G.edges()]))
+    return out
+
+
+def parsed_subcomplex(vertices, edges, keep):
+    """The complex induced on ``keep``, built through the parsing
+    constructor, and its edges in the documented order."""
+    verts = [v for v in vertices if v in keep]
+    pos = {v: i for i, v in enumerate(verts)}
+    pairs = [(a, b) if pos[a] < pos[b] else (b, a) for a, b in edges if a in keep and b in keep]
+    pairs.sort(key=lambda e: (pos[e[0]], pos[e[1]]))
+    return FlagComplex(verts, pairs), pairs
+
+
+def assert_same_complex(got, want, pairs):
+    assert got == want and want == got
+    assert hash(got) == hash(want) == hash((want.vertices, frozenset(pairs)))
+    assert got.edges() == want.edges() == pairs
+    assert got.to_json_doc() == want.to_json_doc()
+    assert repr(got) == repr(want)
+
+
+def subsets_of(vertices, seed):
+    rng = SplitMix64(seed)
+    return [
+        (),
+        vertices,
+        vertices[::2],
+        vertices[1::3][::-1],  # any order: the result keeps declaration order
+        [v for v in vertices if rng.below(3)] * 2,  # repeats count once
+    ]
+
+
+@pytest.mark.parametrize("case", range(19))
+def test_induced_link_and_components_equal_parsed_twins(case):
+    vertices, edges = subcomplex_cases()[case]
+    L = FlagComplex(vertices, edges)
+    for vs in subsets_of(vertices, case):
+        assert_same_complex(L.induced(vs), *parsed_subcomplex(vertices, edges, set(vs)))
+    for v in vertices:
+        near = {w for e in edges if v in e for w in e if w != v}
+        assert_same_complex(L.link(v), *parsed_subcomplex(vertices, edges, near))
+    parts = L.components()
+    assert sorted(v for c in parts for v in c.vertices) == sorted(vertices)
+    for c in parts:
+        assert_same_complex(c, *parsed_subcomplex(vertices, edges, set(c.vertices)))
+    with pytest.raises(UnknownVertexError):
+        L.induced(list(vertices[:1]) + ["zz"])
+
+
+@pytest.mark.parametrize("case", range(19))
+def test_subset_components_match_induced_components(case):
+    vertices, edges = subcomplex_cases()[case]
+    L = FlagComplex(vertices, edges)
+    read = complexes._component_vertex_sets
+    assert read(L) == tuple(c.vertices for c in L.components())
+    for vs in subsets_of(vertices, case):
+        assert read(L, vs) == tuple(c.vertices for c in L.induced(vs).components())
 
 
 def test_cut_rank(p3, star3, tt):

@@ -118,6 +118,25 @@ def test_thickness_scales_with_character(z, phi, q):
     assert thickness(z, phi.scale(q)) == abs(q) * thickness(z, phi)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda rank: st.tuples(
+        generator_lists(rank), st.lists(st.integers(-9, 9), min_size=rank, max_size=rank)
+    )
+))
+def test_thickness_integral_path_matches_the_dense_oracle(case):
+    gens, values = case
+    ambient = tuple(f"x{i}" for i in range(len(values)))
+    phi = Character(dict(zip(ambient, values)))
+    z, oz = ZonotopeElement(ambient, gens), DenseZonotope(ambient, gens)
+    width = thickness(z, phi)
+    assert type(width) is Fraction and width == dense_thickness(oz, phi)
+    # A non-integral multiple takes the Fraction path.
+    third = phi.scale(Fraction(1, 3))
+    if not third.is_integral:
+        assert thickness(z, third) == width / 3 == dense_thickness(oz, third)
+
+
 def test_thickness_ambient_mismatch():
     with pytest.raises(AmbientMismatchError):
         thickness(seg((1, 0, 0)), Character({"a": 1, "b": 1}))

@@ -314,6 +314,7 @@ def test_splitting_path_builds_no_link_and_reads_no_cut_rank(n, monkeypatch):
     monkeypatch.setattr(complexes, "_cut_ranks", refuse)
     assert l2_euler_kernel(L, primitive) == kernel  # builds links, reads no cut rank
     monkeypatch.setattr(FlagComplex, "link", refuse)
+    monkeypatch.setattr(FlagComplex, "induced", refuse)  # nor any other induced copy
     gog, report = dual_splitting(L, phi)
     assert [gog.to_json_doc(), report.to_json_doc()] == expected
     assert splitting_complexity(gog, phi) == report.complexity
