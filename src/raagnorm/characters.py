@@ -52,10 +52,6 @@ class Character:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def support_domain(self):
-        return frozenset(self._values)
-
     def value(self, v) -> Fraction:
         try:
             return self._values[v]
@@ -115,7 +111,7 @@ class Character:
         return Character({v: x * q for v, x in self._values.items()})
 
     def add(self, other: "Character") -> "Character":
-        if self.support_domain != other.support_domain:
+        if self._values.keys() != other._values.keys():
             raise CharacterDomainError("characters live on different vertex sets")
         return Character({v: x + other._values[v] for v, x in self._values.items()})
 
@@ -137,7 +133,7 @@ class Character:
 
         ``other`` must be nonzero on some vertex.
         """
-        if self.support_domain != other.support_domain:
+        if self._values.keys() != other._values.keys():
             raise CharacterDomainError("characters live on different vertex sets")
         q = None
         for v, x in other._values.items():

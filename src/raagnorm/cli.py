@@ -15,7 +15,7 @@ from .complexes import is_chordal, load_json, parse_complex
 from .errors import InvalidInput, ParseError, RaagError
 from .homology import euler_raag
 from .l2 import is_fibered, l2_betti_group
-from .polytopes import is_one_ended, l2_polytope, norm_ball, thurston_norm
+from .polytopes import cut_rank_weights, is_one_ended, l2_polytope, norm_ball, thurston_norm
 from .rationals import format_rational
 from .splittings import cyclic_cover_truncation, dual_splitting
 from .verify import cross_check, run_suite
@@ -66,9 +66,7 @@ def _cmd_analyze(args):
         "coherent": witness.chordal,
         "connected": L.is_connected(),
         "one_ended": is_one_ended(L),
-        "cut_ranks": (
-            {v: L.cut_rank(v) for v in L.vertices} if len(L.vertices) >= 2 else {}
-        ),
+        "cut_ranks": cut_rank_weights(L) if len(L.vertices) >= 2 else {},
         "euler": euler_raag(L),
         "l2_betti": {str(i): format_rational(b) for i, b in enumerate(betti)},
     }

@@ -235,16 +235,6 @@ class FlagComplex:
         chordal complexes only (see :func:`clique_tree`)."""
         return list(self._cached("clique_tree", _clique_tree)[0])
 
-    def _later_neighbours(self):
-        """Later neighbours of each vertex, appended in declaration order."""
-        idx = self._index
-        later = {v: [] for v in self.vertices}
-        for u, near in self._adj.items():
-            for w in near:
-                if idx[w] < idx[u]:
-                    later[w].append(u)
-        return later
-
     def simplices_by_dim(self):
         """All simplices, grouped by dimension, each lexicographically sorted.
 
@@ -261,10 +251,9 @@ class FlagComplex:
         total = len(self.vertices)
         _check_budget(total)
         adj = self._adj
-        later = self._later_neighbours()
         levels = []
         cur = [(v,) for v in self.vertices]
-        cands = list(later.values())
+        cands = list(_later_neighbours(adj, self.vertices, self._index).values())
         while cur:
             levels.append(cur)
             total += sum(map(len, cands))
@@ -297,7 +286,8 @@ class FlagComplex:
         _check_budget(total)
         counts = []
         # Only candidate lists that have children matter for the counts.
-        cands = [c for c in self._later_neighbours().values() if c]
+        later = _later_neighbours(adj, self.vertices, self._index)
+        cands = [c for c in later.values() if c]
         while size:
             counts.append(size)
             size = sum(map(len, cands))
@@ -316,6 +306,18 @@ class FlagComplex:
 
 
 # -- cached structure ---------------------------------------------------------
+
+
+def _later_neighbours(adj, order, pos):
+    """Each vertex's neighbours that come after it in ``order``, in that
+    order; ``pos`` maps each vertex to its place in ``order``."""
+    later = {v: [] for v in order}
+    for u in order:
+        p = pos[u]
+        for w in adj[u]:
+            if pos[w] < p:
+                later[w].append(u)
+    return later
 
 
 def _component_vertex_sets(L, vs=None):
@@ -404,7 +406,7 @@ def parse_complex(text: str) -> FlagComplex:
     """
     stripped = text.lstrip()
     if stripped.startswith(("{", "[")):
-        return _parse_json(text)
+        return complex_from_json_doc(load_json(text))
     return _parse_edge_list(text)
 
 
@@ -426,10 +428,6 @@ def load_json(text, where=""):
         raise ParseError(f"{where}invalid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError(f"{where}invalid JSON: nested too deeply") from None
-
-
-def _parse_json(text):
-    return complex_from_json_doc(load_json(text))
 
 
 def complex_from_json_doc(doc) -> FlagComplex:
@@ -586,10 +584,7 @@ def _peo_violation(L, peo):
     """None if ``peo`` is a perfect elimination ordering, else a triple
     (center, u, w) with u, w non-adjacent later neighbors of center."""
     pos = {v: i for i, v in enumerate(peo)}
-    for v in peo:
-        later = sorted(
-            (w for w in L._adj[v] if pos[w] > pos[v]), key=pos.__getitem__
-        )
+    for v, later in _later_neighbours(L._adj, peo, pos).items():
         if len(later) < 2:
             continue
         u = later[0]
@@ -694,20 +689,30 @@ def require_chordal(L: FlagComplex) -> ChordalityWitness:
 # -- separators ---------------------------------------------------------------
 
 
-def _separates(L, blocked, k0, k1):
-    """True if no path joins k0 to k1 outside ``blocked``."""
-    seen = set(k0)
-    stack = [v for v in k0]
+def _is_clique(L, vertices) -> bool:
+    """Whether every two positions of ``vertices`` hold adjacent vertices of
+    ``L``, after checking that each one is a vertex of ``L``. A repeated
+    vertex is not adjacent to itself, so a tuple with one is no clique."""
+    vertices = tuple(vertices)
+    for v in vertices:
+        L.index(v)
+    return all(
+        L.has_edge(v, w) for i, v in enumerate(vertices) for w in vertices[i + 1 :]
+    )
+
+
+def _reach(L, sources, blocked):
+    """Vertices joined to ``sources`` by paths outside ``blocked``, the
+    sources included."""
+    reach = set(sources)
+    stack = list(reach)
     while stack:
         u = stack.pop()
         for w in L._adj[u]:
-            if w in blocked or w in seen:
-                continue
-            if w in k1:
-                return False
-            seen.add(w)
-            stack.append(w)
-    return True
+            if w not in blocked and w not in reach:
+                reach.add(w)
+                stack.append(w)
+    return reach
 
 
 def find_separating_clique(L: FlagComplex, k0, k1) -> tuple:
@@ -736,33 +741,19 @@ def find_separating_clique(L: FlagComplex, k0, k1) -> tuple:
     for v in k0:
         sep.update(L._adj[v])
     sep -= k0
-
-    def shrink_toward(target):
-        reach = set(target)
-        stack = list(target)
-        while stack:
-            u = stack.pop()
-            for w in L._adj[u]:
-                if w in sep or w in reach:
-                    continue
-                reach.add(w)
-                stack.append(w)
-        return {s for s in sep if any(w in reach for w in L._adj[s])}
-
-    sep = shrink_toward(k1)
-    sep = shrink_toward(k0)
+    for side in (k1, k0):
+        reach = _reach(L, side, sep)
+        sep = {s for s in sep if any(w in reach for w in L._adj[s])}
     for s in L.sorted(sep):
         smaller = sep - {s}
-        if _separates(L, smaller, k0, k1):
+        if _reach(L, k0, smaller).isdisjoint(k1):
             sep = smaller
     result = L.sorted(sep)
-    for i, a in enumerate(result):
-        for b in result[i + 1 :]:
-            if b not in L._adj[a]:
-                raise NoCliqueSeparatorError(
-                    "minimal separator is not a clique (disconnected endpoints?)",
-                    separator=list(result),
-                )
+    if not _is_clique(L, result):
+        raise NoCliqueSeparatorError(
+            "minimal separator is not a clique (disconnected endpoints?)",
+            separator=list(result),
+        )
     return result
 
 
@@ -810,14 +801,9 @@ def _clique_tree(L):
     clique joins the two cliques by an edge with separator later(v).
     """
     peo = require_chordal(L).peo
-    pos = {v: i for i, v in enumerate(peo)}
     idx = L._index
     # Later neighbours in elimination order, so later[v][0] is v's parent.
-    later = {v: [] for v in peo}
-    for u in peo:
-        for w in L._adj[u]:
-            if pos[w] < pos[u]:
-                later[w].append(u)
+    later = _later_neighbours(L._adj, peo, {v: i for i, v in enumerate(peo)})
     owner = {}  # vertex -> its clique, index-sorted
     for v in peo:
         if v not in owner:

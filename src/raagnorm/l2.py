@@ -96,9 +96,6 @@ def is_fibered(L: FlagComplex, phi: Character) -> FiberingReport:
     """Finitely generated kernel test for a nonzero rational character."""
     living = living_subcomplex(L, phi)
     require_nonzero(phi)
-    alive = set(living.vertices)
     connected = living.is_connected()
-    dominating = all(
-        v in alive or any(w in alive for w in L.neighbors(v)) for v in L.vertices
-    )
+    dominating = L.one_neighborhood(living.vertices) == L.vertices
     return FiberingReport(connected and dominating, living, connected, dominating)

@@ -22,7 +22,13 @@ from fractions import Fraction
 
 from .characters import Character, check_domain
 from .complexes import FlagComplex, require_chordal
-from .errors import AmbientMismatchError, DisconnectedError, NotOneEndedError, ParseError
+from .errors import (
+    AmbientMismatchError,
+    CharacterDomainError,
+    DisconnectedError,
+    NotOneEndedError,
+    ParseError,
+)
 from .rationals import format_rational
 
 ZERO = Fraction(0)
@@ -246,12 +252,11 @@ def l2_polytope(L: FlagComplex) -> ZonotopeElement:
 
 
 def thurston_norm(L: FlagComplex, phi: Character) -> Fraction:
-    """Semi-norm value, exactly: sum of cut_rank(v) * |phi(v)|."""
-    require_one_ended_coherent(L)
+    """Semi-norm value, exactly: the thickness of the group's polytope along
+    ``phi``, that is, the sum of cut_rank(v) * |phi(v)|."""
+    polytope = l2_polytope(L)
     check_domain(phi, L)
-    return sum(
-        (w * abs(phi.value(v)) for v, w in cut_rank_weights(L).items() if w), start=ZERO
-    )
+    return thickness(polytope, phi)
 
 
 @dataclass(frozen=True)
@@ -291,6 +296,8 @@ class NormBall:
         return not any(self.weights.values())
 
     def contains(self, phi: Character) -> bool:
+        if phi._values.keys() != self.weights.keys():
+            raise CharacterDomainError("character domain does not match the ball's vertices")
         total = sum(
             (self.weights[v] * abs(phi.value(v)) for v in self.vertex_order),
             start=Fraction(0),

@@ -18,6 +18,7 @@ from .characters import Character, check_domain, require_integral, require_nonze
 from .complexes import (
     FlagComplex,
     _component_vertex_sets,
+    _is_clique,
     clique_tree,
     require_chordal,
     spanning_forest,
@@ -60,18 +61,6 @@ class Amalgam:
 
     parts: tuple
     edge_groups: tuple
-
-
-def _is_clique(L: FlagComplex, vertices) -> bool:
-    """Whether every two positions of ``vertices`` hold adjacent vertices of
-    ``L``, after checking that each one is a vertex of ``L``. A repeated
-    vertex is not adjacent to itself, so a tuple with one is no clique."""
-    vertices = tuple(vertices)
-    for v in vertices:
-        L.index(v)
-    return all(
-        L.has_edge(v, w) for i, v in enumerate(vertices) for w in vertices[i + 1 :]
-    )
 
 
 def euler_of(descriptor, L: FlagComplex) -> Fraction:
@@ -321,9 +310,8 @@ class GraphOfGroups:
 
 def euler_check(gog: GraphOfGroups) -> Fraction:
     """Alternating Euler sum: vertices minus positive edges."""
-    total = sum((euler_of(g, gog.complex) for g in gog.vertex_groups), start=Fraction(0))
-    total -= sum((euler_of(e.group, gog.complex) for e in gog.edges), start=Fraction(0))
-    return total
+    edge_groups = tuple(e.group for e in gog.edges)
+    return euler_of(Amalgam(gog.vertex_groups, edge_groups), gog.complex)
 
 
 # -- clique-tree splittings --------------------------------------------------------

@@ -104,6 +104,13 @@ def random_chordal(n: int, seed: int) -> FlagComplex:
     return FlagComplex(names, edges)
 
 
+def _draw_complex(rng: SplitMix64, min_n, max_n) -> FlagComplex:
+    """A :func:`random_chordal` complex whose size is drawn from ``min_n``
+    to ``max_n``, then its seed, both from ``rng``."""
+    n = min_n + rng.below(max_n - min_n + 1)
+    return random_chordal(n, rng.next_u64())
+
+
 def random_character(L: FlagComplex, rng: SplitMix64, lo=-5, hi=5) -> Character:
     """Nonzero integral character with entries in [lo, hi]."""
     span = hi - lo + 1
@@ -223,8 +230,7 @@ def check_main_equality(samples, seed, min_n=2, max_n=25) -> CheckResult:
     rng = SplitMix64(seed)
     max_n = max(max_n, min_n)
     for _ in range(samples):
-        n = min_n + rng.below(max_n - min_n + 1)
-        L = random_chordal(n, rng.next_u64())
+        L = _draw_complex(rng, min_n, max_n)
         phi = random_primitive_character(L, rng)
         report = cross_check(L, phi)
         if not report.applicable:
@@ -323,14 +329,13 @@ def check_contractibility_and_cut_rank(samples, seed, min_n=1, max_n=12) -> Chec
     result = CheckResult("contractibility_and_cut_rank")
     rng = SplitMix64(seed)
     for _ in range(samples):
-        n = min_n + rng.below(max_n - min_n + 1)
-        L = random_chordal(n, rng.next_u64())
+        L = _draw_complex(rng, min_n, max_n)
         rb = reduced_betti(L)
         if any(rb.betti):
             result.fail(_case_doc(L, reason="nonzero reduced homology"))
             continue
         bad = None
-        if n >= 2:
+        if len(L) >= 2:
             links = link_betti(L)
             for v in L.vertices:
                 if L.cut_rank(v) != links[v].rank(0):
@@ -348,8 +353,7 @@ def check_multiplicativity(samples, seed, min_n=2, max_n=12) -> CheckResult:
     result = CheckResult("multiplicativity")
     rng = SplitMix64(seed)
     for _ in range(samples):
-        n = min_n + rng.below(max_n - min_n + 1)
-        L = random_chordal(n, rng.next_u64())
+        L = _draw_complex(rng, min_n, max_n)
         phi = random_character(L, rng)
         base_gog, base_report = dual_splitting(L, phi)
         base_complexity = splitting_complexity(base_gog, phi)
@@ -378,8 +382,7 @@ def check_truncation_counts(samples, seed, min_n=2, max_n=12, max_k=50) -> Check
     rng = SplitMix64(seed)
     built = 0
     while built < samples:
-        n = min_n + rng.below(max_n - min_n + 1)
-        L = random_chordal(n, rng.next_u64())
+        L = _draw_complex(rng, min_n, max_n)
         phi = random_primitive_character(L, rng)
         gog, _ = dual_splitting(L, phi)
         if not gog.edges:
@@ -408,8 +411,7 @@ def check_seminorm_axioms(complexes, pairs, seed, min_n=2, max_n=12) -> CheckRes
     rng = SplitMix64(seed)
     scalars = [Fraction(-3), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(7, 3)]
     for _ in range(complexes):
-        n = min_n + rng.below(max_n - min_n + 1)
-        L = random_chordal(n, rng.next_u64())
+        L = _draw_complex(rng, min_n, max_n)
         case_ok = True
         for _ in range(pairs):
             phi = random_character(L, rng)
@@ -436,15 +438,14 @@ def check_euler_bookkeeping(samples, seed, min_n=1, max_n=12) -> CheckResult:
     result = CheckResult("euler_bookkeeping")
     rng = SplitMix64(seed)
     for index in range(samples):
-        n = min_n + rng.below(max_n - min_n + 1)
-        L = random_chordal(n, rng.next_u64())
+        L = _draw_complex(rng, min_n, max_n)
         case_ok = euler_check(clique_tree_splitting(L)) == euler_raag(L)
         phi = random_character(L, rng)
         gog, _ = dual_splitting(L, phi)
         if euler_check(gog) != euler_raag(L):
             case_ok = False
         # free-product wrapper: disjoint union of this complex and a shifted copy
-        other = random_chordal(1 + rng.below(max_n), rng.next_u64())
+        other = _draw_complex(rng, 1, max_n)
         renamed = FlagComplex(
             [f"u{v}" for v in other.vertices],
             [(f"u{a}", f"u{b}") for a, b in other.edges()],
@@ -513,16 +514,14 @@ def check_chordality_soundness(samples, seed, min_n=1, max_n=12) -> CheckResult:
     result = CheckResult("chordality_soundness")
     rng = SplitMix64(seed)
     for _ in range(samples):
-        n = min_n + rng.below(max_n - min_n + 1)
-        L = random_chordal(n, rng.next_u64())
+        L = _draw_complex(rng, min_n, max_n)
         witness = is_chordal(L)
         if witness.chordal and verify_peo(L, witness.peo) and L.is_connected():
             result.ok()
         else:
             result.fail(_case_doc(L, reason="chordal witness rejected"))
     for _ in range(samples):
-        n = min_n + rng.below(max_n - min_n + 1)
-        base = random_chordal(n, rng.next_u64())
+        base = _draw_complex(rng, min_n, max_n)
         length = 4 + rng.below(5)
         planted = plant_cycle(base, length, tag="c")
         witness = is_chordal(planted)

@@ -206,6 +206,20 @@ def separates(L, blocked, k0, k1):
     return True
 
 
+def sorted_peo_violation(L, peo):
+    """First ``(center, u, w)``, in ``peo`` order, with ``u`` and ``w``
+    non-adjacent later neighbours of ``center``, each vertex's later
+    neighbours sorted by their position in ``peo`` and ``u`` the first of
+    them; None for a perfect elimination ordering."""
+    pos = {v: i for i, v in enumerate(peo)}
+    for v in peo:
+        later = sorted((w for w in L.neighbors(v) if pos[w] > pos[v]), key=pos.__getitem__)
+        for w in later[1:]:
+            if not L.has_edge(later[0], w):
+                return (v, later[0], w)
+    return None
+
+
 def reference_splitmix64(seed, count):
     """Straight transcription of the reference split-mix step function."""
     mask = (1 << 64) - 1

@@ -11,12 +11,14 @@ from oracles import (
     is_clique,
     recount_cut_rank,
     separates,
+    sorted_peo_violation,
 )
 from raagnorm import (
     CliqueCapError,
     DisconnectedError,
     FlagComplex,
     InvalidInput,
+    NoCliqueSeparatorError,
     NotChordalError,
     ParseError,
     UnknownVertexError,
@@ -487,6 +489,31 @@ def test_lex_bfs_matches_label_list_reference_on_chordal():
             assert lex_bfs(G) == label_list_lex_bfs(G)
 
 
+def test_peo_check_matches_the_sorting_oracle():
+    """The elimination check reads each vertex's later neighbours in
+    elimination order without sorting them; its triple, and so the
+    chordality witness, must be the sorting check's."""
+    rng = SplitMix64(41)
+    violations = 0
+    for seed in range(30):
+        base = random_chordal(1 + seed % 15, seed + 4100)
+        for L in (base, plant_cycle(base, 4 + seed % 5, "h")):
+            peo = tuple(reversed(lex_bfs(L)))
+            shuffled = tuple(rng.sample(L.vertices, len(L)))
+            for order in (peo, L.vertices, tuple(reversed(L.vertices)), shuffled):
+                bad = sorted_peo_violation(L, order)
+                violations += bad is not None
+                assert complexes._peo_violation(L, order) == bad
+            bad = sorted_peo_violation(L, peo)
+            if bad is None:
+                expected = {"chordal": True, "peo": list(peo)}
+            else:
+                cycle = complexes._find_hole(L, hint=bad)
+                expected = {"chordal": False, "bad_cycle": list(cycle)}
+            assert is_chordal(L).to_json_doc() == expected
+    assert violations >= 30
+
+
 def test_cache_leaves_equality_and_hash_alone():
     a = random_chordal(12, 5)
     b = FlagComplex(a.vertices, a.edges())
@@ -520,6 +547,13 @@ def test_separator_precondition_errors(p3, c4):
         find_separating_clique(c4, ["a"], ["c"])
     with pytest.raises(DisconnectedError):
         find_separating_clique(FlagComplex(["a", "b", "c"], [("a", "b")]), ["a"], ["c"])
+
+
+def test_separator_that_is_no_clique_names_itself():
+    p5 = FlagComplex(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+    with pytest.raises(NoCliqueSeparatorError) as info:
+        find_separating_clique(p5, ["a", "e"], ["c"])
+    assert info.value.payload()["separator"] == ["b", "d"]
 
 
 def test_separator_properties_on_random_chordal():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from raagnorm import (
     AmbientMismatchError,
     Character,
+    CharacterDomainError,
     DisconnectedError,
     FlagComplex,
     NotChordalError,
@@ -22,7 +23,13 @@ from raagnorm import (
 from raagnorm.polytopes import is_one_ended, require_one_ended_coherent
 from raagnorm.verify import SplitMix64, random_character
 
-from oracles import DenseZonotope, dense_l2_polytope, dense_norm_ball, dense_thickness
+from oracles import (
+    DenseZonotope,
+    dense_l2_polytope,
+    dense_norm_ball,
+    dense_thickness,
+    recount_cut_rank,
+)
 
 AMBIENT = ("a", "b", "c")
 
@@ -209,6 +216,29 @@ def test_norm_zero_character_allowed(p3):
     assert thurston_norm(p3, Character({"a": 0, "b": 0, "c": 0})) == 0
 
 
+def test_norm_gates_the_complex_before_the_domain(p3, c4):
+    with pytest.raises(NotChordalError):
+        thurston_norm(c4, Character({"a": 1, "b": 1}))
+    for values in ({"a": 1, "b": 1}, {"a": 1, "b": 1, "c": 1, "zzz": 1}):
+        with pytest.raises(CharacterDomainError):
+            thurston_norm(p3, Character(values))
+
+
+def test_norm_of_a_rational_character_is_the_weighted_sum():
+    rng = SplitMix64(29)
+    for seed in range(15):
+        L = random_chordal(2 + seed % 9, seed + 2900)
+        values = {v: Fraction(rng.below(11) - 5, 1 + rng.below(4)) for v in L.vertices}
+        values[L.vertices[0]] = Fraction(1, 2)
+        phi = Character(values)
+        assert not phi.is_integral
+        expected = sum(
+            (recount_cut_rank(L, v) * abs(x) for v, x in values.items()), start=Fraction(0)
+        )
+        norm = thurston_norm(L, phi)
+        assert type(norm) is Fraction and norm == expected
+
+
 def test_norm_matches_polytope_thickness():
     rng = SplitMix64(3)
     for seed in range(20):
@@ -265,6 +295,13 @@ def test_ball_membership_matches_norm():
         for _ in range(10):
             phi = random_character(L, rng).scale(Fraction(1, 1 + rng.below(9)))
             assert ball.contains(phi) == (thurston_norm(L, phi) <= 1)
+
+
+def test_ball_membership_checks_the_domain(p3):
+    ball = norm_ball(p3)
+    for values in ({"a": 0, "b": 0, "c": 0, "zzz": 100}, {"a": 0, "b": 0}):
+        with pytest.raises(CharacterDomainError):
+            ball.contains(Character(values))
 
 
 def test_ball_json(star3):
