@@ -131,21 +131,27 @@ class Character:
     def proportion_to(self, other: "Character"):
         """Rational q with self = q*other, or None if not proportional.
 
-        ``other`` must be nonzero on some vertex.
+        ``other`` must be nonzero on some vertex. Each vertex is compared by
+        integer cross-multiplication against the ratio ``p/q`` read off the
+        first vertex where ``other`` is nonzero: ``a == (p/q)*x`` exactly when
+        ``a.num * x.den * q == p * x.num * a.den``, so no Fraction is built per
+        vertex, and for integral characters every denominator is 1.
         """
-        if self._values.keys() != other._values.keys():
+        mine, theirs = self._values, other._values
+        if mine.keys() != theirs.keys():
             raise CharacterDomainError("characters live on different vertex sets")
-        q = None
-        for v, x in other._values.items():
+        for v, x in theirs.items():
             if x != 0:
-                q = self._values[v] / x
+                ratio = mine[v] / x
                 break
-        if q is None:
+        else:
             raise ZeroCharacterError("cannot compare against the zero character")
-        for v, x in other._values.items():
-            if self._values[v] != q * x:
+        p, q = ratio.numerator, ratio.denominator
+        for v, x in theirs.items():
+            a = mine[v]
+            if a.numerator * x.denominator * q != p * x.numerator * a.denominator:
                 return None
-        return q
+        return ratio
 
     # -- serialization --------------------------------------------------------
 

@@ -10,8 +10,8 @@ order, witness normalization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import (
     CliqueCapError,
     DisconnectedError,
@@ -481,8 +481,7 @@ def _parse_edge_list(text):
 # -- chordality --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChordalityWitness:
+class ChordalityWitness(Record):
     """Verdict plus checkable evidence.
 
     ``peo`` (chordal case) lists the vertices so that each one's later
@@ -723,16 +722,18 @@ def find_separating_clique(L: FlagComplex, k0, k1) -> tuple:
     declaration order. In a connected chordal complex the result is a clique
     whenever ``k0`` and ``k1`` are connected subcomplexes.
     """
-    k0 = set(L.sorted(k0))
+    order0 = L.sorted(k0)
+    k0 = set(order0)
     k1 = set(L.sorted(k1))
     if not k0 or not k1:
         raise InvalidInput("separator endpoints must be nonempty")
     if k0 & k1:
         raise InvalidInput("separator endpoints intersect")
-    for a in k0:
-        for b in L._adj[a]:
-            if b in k1:
-                raise InvalidInput(f"endpoints are adjacent via {a!r}-{b!r}")
+    for a in order0:
+        across = L._adj[a] & k1
+        if across:
+            b = min(across, key=L.index)
+            raise InvalidInput(f"endpoints are adjacent via {a!r}-{b!r}")
     if not L.is_connected():
         raise DisconnectedError("separator search requires a connected complex")
     require_chordal(L)

@@ -33,10 +33,10 @@ free low at once, and 16% are ever built.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
+from ._record import Record
 from .complexes import FlagComplex
 
 
@@ -119,8 +119,7 @@ def _echelon(items, low, build):
     return pivots, placed
 
 
-@dataclass(frozen=True)
-class ReducedBettiVector:
+class ReducedBettiVector(Record):
     """Ranks of reduced homology over Q, indexed from dimension -1 upward.
 
     ``betti[0]`` is the rank in dimension -1 (1 exactly for the empty

@@ -16,9 +16,9 @@ criterion: connected and dominating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .characters import Character, check_domain, require_nonzero, require_primitive
 from .complexes import FlagComplex
 from .homology import euler_raag, link_betti, reduced_betti
@@ -65,8 +65,7 @@ def l2_euler_kernel(L: FlagComplex, phi: Character) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class FiberingReport:
+class FiberingReport(Record):
     """Outcome of the living-subcomplex test.
 
     fibered <=> connected and dominating; ``living`` is the induced

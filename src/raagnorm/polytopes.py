@@ -17,9 +17,9 @@ number of vertices once the cut ranks are known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .characters import Character, check_domain
 from .complexes import FlagComplex, require_chordal
 from .errors import (
@@ -259,8 +259,7 @@ def thurston_norm(L: FlagComplex, phi: Character) -> Fraction:
     return thickness(polytope, phi)
 
 
-@dataclass(frozen=True)
-class NormBall:
+class NormBall(Record):
     """The unit ball {phi : sum weights[v] * |phi_v| <= 1} in coordinates
     dual to the standard generators.
 
@@ -268,7 +267,8 @@ class NormBall:
     (the extreme points +-e_v / weight for positive weights, in vertex
     order) and ``lineality_basis`` (the unit vectors e_v of zero weight,
     spanning the degenerate directions) are read-only dense views, built on
-    each read. With all weights zero the ball is the whole space.
+    each read. With all weights zero the ball is the whole space. The ball
+    is unhashable, since its weights are a dict.
     """
 
     vertex_order: tuple

@@ -11,9 +11,9 @@ through their character values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .characters import Character, check_domain, require_integral, require_nonzero
 from .complexes import (
     FlagComplex,
@@ -30,15 +30,13 @@ from .rationals import format_rational, parse_rational
 # -- group descriptors ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Parabolic:
+class Parabolic(Record):
     """Subgroup generated by a set of standard generators."""
 
     vertices: tuple
 
 
-@dataclass(frozen=True)
-class BlockKernel:
+class BlockKernel(Record):
     """Kernel of the character restricted to a living block's neighborhood
     group; ``k`` is the index of the image, ``chi`` the kernel's Euler
     characteristic."""
@@ -48,13 +46,11 @@ class BlockKernel:
     chi: Fraction
 
 
-@dataclass(frozen=True)
-class Trivial:
+class Trivial(Record):
     """The trivial group (free-product hub and hub edges)."""
 
 
-@dataclass(frozen=True)
-class Amalgam:
+class Amalgam(Record):
     """Fundamental group of a tree of groups, kept as a formal combination;
     its Euler characteristic is the alternating sum over parts and tree
     edges. Used for the vertex left after collapsing non-loop edges."""
@@ -166,8 +162,7 @@ def descriptor_from_json(doc):
 # -- graphs of groups ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GogEdge:
+class GogEdge(Record):
     """Positive representative of an edge pair; the reverse orientation is
     implicit, so the involution is fixed-point free by construction.
 
@@ -191,7 +186,8 @@ class GraphOfGroups:
     ``tree_edges`` index a spanning tree; every positive edge outside it
     carries the character value of its stable letter in ``stable_letters``.
     ``character`` records the character a dual splitting was built against
-    (None for clique trees).
+    (None for clique trees). Graphs of groups compare by value and are
+    unhashable.
     """
 
     def __init__(
@@ -332,8 +328,7 @@ def clique_tree_splitting(L: FlagComplex) -> GraphOfGroups:
 # -- dual splittings -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockRow:
+class BlockRow(Record):
     """Per-block accounting: image index, kernel Euler characteristic, and
     the block's contribution to the complexity."""
 
@@ -351,8 +346,10 @@ class BlockRow:
         }
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(Record):
+    """Complexity of a dual splitting, its per-block rows and the tree
+    certificate document; unhashable, since the certificate is a dict."""
+
     complexity: Fraction
     blocks: tuple
     tree_certificate: dict
@@ -565,8 +562,7 @@ def splitting_complexity(gog: GraphOfGroups, phi: Character) -> Fraction:
 # -- cyclic cover truncations ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverTruncation:
+class CoverTruncation(Record):
     """Finite window of the infinite cyclic cover of a single-vertex
     splitting: vertex copies v_-k .. v_k and the edge lifts that fit.
 

@@ -8,9 +8,9 @@ identical seeds give identical cases on every platform.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .characters import Character, check_domain, require_integral, require_nonzero
 from .complexes import FlagComplex, is_chordal
 from .errors import (
@@ -127,15 +127,14 @@ def random_primitive_character(L, rng, lo=-5, hi=5) -> Character:
 # -- the three-way cross check ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Record):
     """Thickness, minus the kernel's L2-Euler characteristic, and the
     constructed splitting complexity, each through its own code path.
 
     ``applicable`` is False when the complex is not connected chordal with
     at least two vertices; the equality is asserted only when applicable.
     ``minus_chi2`` is evaluated on the primitive representative and scaled
-    back by the gcd.
+    back by the gcd. The report is unhashable: its character is.
     """
 
     complex: FlagComplex
@@ -189,15 +188,18 @@ def cross_check(L: FlagComplex, phi: Character) -> CrossCheckReport:
 # -- invariant suites ---------------------------------------------------------------
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    failures: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    """One check's tally: passes, failures (the first ``MAX_STORED`` kept
+    as payloads) and notes."""
 
     MAX_STORED = 10
+
+    def __init__(self, name):
+        self.name = name
+        self.passed = 0
+        self.failed = 0
+        self.failures = []
+        self.notes = {}
 
     def ok(self, count=1):
         self.passed += count

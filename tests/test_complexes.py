@@ -549,6 +549,14 @@ def test_separator_precondition_errors(p3, c4):
         find_separating_clique(FlagComplex(["a", "b", "c"], [("a", "b")]), ["a"], ["c"])
 
 
+def test_separator_adjacency_error_names_the_first_pair_in_declaration_order():
+    L = FlagComplex(list("abcd"), [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("b", "d")])
+    for k0, k1 in ((["a", "d"], ["b", "c"]), (["d", "a"], ["c", "b"])):
+        with pytest.raises(InvalidInput) as info:
+            find_separating_clique(L, k0, k1)
+        assert info.value.detail == "endpoints are adjacent via 'a'-'b'"
+
+
 def test_separator_that_is_no_clique_names_itself():
     p5 = FlagComplex(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
     with pytest.raises(NoCliqueSeparatorError) as info:

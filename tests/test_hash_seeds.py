@@ -1,0 +1,107 @@
+"""Byte determinism across processes: the CLI golden cases under every
+subcommand, a set of error cases and the default suite give the same stdout,
+stderr and exit codes under ``PYTHONHASHSEED`` 1, 2 and 3, so no output
+depends on the iteration order of a set or dict of strings.
+
+Each seed runs one child interpreter, which calls ``raagnorm.cli.main`` on
+every argument list in turn and prints the results as one JSON document.
+The child also records the error detail of ``find_separating_clique`` on
+adjacent endpoints, which once named a different edge under each seed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import raagnorm
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+SEEDS = ("1", "2", "3")
+
+CHILD = r"""
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from raagnorm import FlagComplex, RaagError, find_separating_clique
+from raagnorm.cli import main
+
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    results.append([argv, code, out.getvalue(), err.getvalue()])
+L = FlagComplex(list("abcd"), [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("b", "d")])
+try:
+    find_separating_clique(L, ["a", "d"], ["b", "c"])
+except RaagError as exc:
+    results.append(["find_separating_clique", exc.payload()])
+json.dump(results, sys.stdout)
+"""
+
+ERROR_CASES = {
+    "c4": '{"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"], '
+    '["c", "d"], ["d", "a"]]}',
+    "c4_char": '{"values": {"a": 1, "b": 2, "c": 3, "d": 4}}',
+    "zero_char": '{"values": {"a": 0, "b": 0, "c": 0, "d": 0}}',
+    "wrong_domain": '{"values": {"x": 1, "y": 2, "a": 3}}',
+    "malformed": '{"vertices": ["a", "b"], "edges": [["a", "b"]',
+    "duplicate_edges": "a b\nb c\nb a\n",
+    "float_char": '{"values": {"a": 0.5, "b": 1, "c": 1, "d": 1}}',
+}
+
+
+def _argv_lists(tmp_path):
+    runs = []
+    for name, case in sorted(GOLDEN.items()):
+        cx, ch = tmp_path / f"{name}.complex", tmp_path / f"{name}.char"
+        cx.write_text(case["complex"])
+        ch.write_text(case["char"])
+        for command in ("analyze", "polytope", "ball"):
+            runs.append(["--compact", command, "--complex", str(cx)])
+        for command in (["fibering"], ["norm"], ["split", "--truncate", "10"], ["verify"]):
+            runs.append(["--compact", *command, "--complex", str(cx), "--char", str(ch)])
+    paths = {}
+    for name, text in ERROR_CASES.items():
+        paths[name] = tmp_path / f"error_{name}"
+        paths[name].write_text(text)
+    c4, p = str(paths["c4"]), {k: str(v) for k, v in paths.items()}
+    runs += [
+        ["analyze", "--complex", c4],
+        ["norm", "--complex", c4, "--char", p["c4_char"]],
+        ["ball", "--complex", c4],
+        ["split", "--complex", c4, "--char", p["zero_char"]],
+        ["verify", "--complex", c4, "--char", p["c4_char"]],
+        ["fibering", "--complex", c4, "--char", p["wrong_domain"]],
+        ["norm", "--complex", c4, "--char", p["float_char"]],
+        ["analyze", "--complex", p["malformed"]],
+        ["polytope", "--complex", p["duplicate_edges"]],
+        ["norm", "--complex", c4],
+        ["verify", "--suite", "--samples", "8"],
+    ]
+    return runs
+
+
+def test_cli_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    runs = _argv_lists(tmp_path)
+    src = os.path.dirname(os.path.dirname(raagnorm.__file__))
+    outputs = {}
+    for seed in SEEDS:
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD],
+            input=json.dumps(runs), capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[seed] = proc.stdout
+    assert outputs["1"] == outputs["2"] == outputs["3"]
+    results = json.loads(outputs["1"])
+    assert len(results) == len(runs) + 1
+    assert results[-1][1]["detail"] == "endpoints are adjacent via 'a'-'b'"
+    by_argv = {tuple(argv): (code, out) for argv, code, out, _ in results[:-1]}
+    for name, case in GOLDEN.items():
+        for command in ("polytope", "ball"):
+            argv = ("--compact", command, "--complex", str(tmp_path / f"{name}.complex"))
+            assert by_argv[argv] == (case[command]["exit"], case[command]["stdout"])
+    assert {code for code, _ in by_argv.values()} == {0, 1, 2}

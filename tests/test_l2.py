@@ -170,6 +170,48 @@ def test_character_arithmetic_and_proportionality():
         Character({"a": 0}).primitive()
 
 
+def _proportion_by_fractions(phi, psi):
+    """The rational route: the ratio at psi's first nonzero vertex, then a
+    Fraction product and comparison per vertex."""
+    q = next(phi.value(v) / x for v, x in psi.items() if x != 0)
+    return q if all(phi.value(v) == q * x for v, x in psi.items()) else None
+
+
+def test_integral_proportion_matches_the_fraction_route():
+    """Pairs (s * base, t * base) are proportional with ratio s/t, which is
+    zero for s = 0 and negative for s, t of opposite signs; independent
+    draws mostly are not proportional. Entries may be zero."""
+    rng = SplitMix64(51)
+    seen = {"none": 0, "negative": 0, "zero": 0}
+    for trial in range(600):
+        names = [f"v{i}" for i in range(1 + rng.below(6))]
+        base = [rng.below(7) - 3 for _ in names]
+        base[rng.below(len(names))] = 1 + rng.below(3)
+        if trial % 2:
+            s, t = rng.below(7) - 3, rng.below(6) + 1
+            t = -t if rng.below(2) else t
+            phi_vals, psi_vals = [s * x for x in base], [t * x for x in base]
+        else:
+            phi_vals, psi_vals = [rng.below(7) - 3 for _ in names], base
+        phi = Character(dict(zip(names, phi_vals)))
+        psi = Character(dict(zip(names, psi_vals)))
+        got = phi.proportion_to(psi)
+        want = _proportion_by_fractions(phi, psi)
+        assert got == want and type(got) is type(want), (phi, psi)
+        seen["none"] += got is None
+        seen["negative"] += got is not None and got < 0
+        seen["zero"] += got == 0
+    assert min(seen.values()) > 40, seen
+
+
+def test_non_integral_proportion_matches_the_fraction_route():
+    phi = Character({"a": Fraction(1, 2), "b": 0, "c": Fraction(-3, 4)})
+    psi = Character({"a": 2, "b": 0, "c": -3})
+    assert phi.proportion_to(psi) == Fraction(1, 4) == _proportion_by_fractions(phi, psi)
+    assert psi.proportion_to(phi) == 4
+    assert Character({"a": 1, "b": 1, "c": 1}).proportion_to(phi) is None
+
+
 def test_character_json_roundtrip():
     phi = Character({"a": Fraction(-7, 3), "b": 4})
     doc = phi.to_json_doc()

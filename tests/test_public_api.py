@@ -52,6 +52,25 @@ def test_demo_runs_cleanly(demo):
     assert proc.stderr == ""
 
 
+def test_cli_import_brings_in_neither_dataclasses_nor_inspect():
+    """Start-up cost of every CLI process: the library's imports add no
+    ``dataclasses`` and no ``inspect`` (with its ``ast``, ``dis`` and
+    ``tokenize``) to what the interpreter had already loaded."""
+    src = os.path.dirname(os.path.dirname(raagnorm.__file__))
+    code = (
+        "import sys; before = set(sys.modules); import raagnorm.cli; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(ast.literal_eval(proc.stdout))
+    assert "raagnorm.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(added)
+
+
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_no_unused_imports(module):
     tree = ast.parse(module.read_text())
