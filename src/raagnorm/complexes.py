@@ -45,16 +45,18 @@ class FlagComplex:
     :meth:`edges` and the hash are derived from that adjacency. Equality
     compares the vertex sequence (order matters) and the adjacency, that
     is, the edge set. Only the public constructor checks its input; an
-    induced subcomplex, a link or a component is read off the already
-    checked adjacency of its parent. These invariants are
-    computed on first use and kept on the instance: the chordality witness,
-    the component vertex sets, the cut ranks, the maximal cliques with a
-    clique tree, the f-vector (simplex count per dimension), the reduced
-    Betti numbers (:func:`raagnorm.homology.reduced_betti`), and the Euler
-    characteristic and the reduced Betti numbers of every vertex link
-    (:func:`raagnorm.homology.link_euler`, :func:`raagnorm.homology.link_betti`).
-    Only results are kept, never the simplex lists. The cache takes no part
-    in equality, hashing or ``repr``.
+    induced subcomplex, a link, a component or a core (see
+    :mod:`raagnorm.homology`) is read off the already checked adjacency of
+    its parent. These invariants are computed on first use and kept on the
+    instance: the chordality witness, the component vertex sets, the cut
+    ranks, the maximal cliques with a clique tree, the f-vector (simplex
+    count per dimension), the reduced Betti numbers from the core
+    (:func:`raagnorm.homology.reduced_betti`), and for every vertex link its
+    Euler characteristic from one star count
+    (:func:`raagnorm.homology.link_euler`) and its reduced Betti numbers
+    from its core (:func:`raagnorm.homology.link_betti`).
+    Only results are kept, never the simplex lists or the cores. The cache
+    takes no part in equality, hashing or ``repr``.
     """
 
     __slots__ = ("vertices", "_index", "_adj", "_cache")

@@ -39,8 +39,9 @@ def l2_betti_group(L: FlagComplex, max_i=None) -> list:
 def l2_betti_kernel(L: FlagComplex, phi: Character, max_i=None) -> list:
     """b_i of the kernel of the epimorphism given by a primitive ``phi``.
 
-    Reads every link's reduced Betti numbers off one enumeration of ``L``
-    (:func:`raagnorm.homology.link_betti`); no link is built.
+    Reads every link's reduced Betti numbers from the link's core
+    (:func:`raagnorm.homology.link_betti`); no link is built and ``L`` is
+    not enumerated.
     """
     check_domain(phi, L)
     require_primitive(phi)

@@ -326,8 +326,8 @@ def check_negative_controls() -> CheckResult:
 
 def check_contractibility_and_cut_rank(samples, seed, min_n=1, max_n=12) -> CheckResult:
     """Generated connected chordal complexes are acyclic and the cut rank of
-    each vertex matches the link's reduced component count, read off the
-    star of the vertex (:func:`raagnorm.homology.link_betti`)."""
+    each vertex matches the link's reduced component count, from the core
+    of the link (:func:`raagnorm.homology.link_betti`)."""
     result = CheckResult("contractibility_and_cut_rank")
     rng = SplitMix64(seed)
     for _ in range(samples):

@@ -154,6 +154,21 @@ def dense_fraction_rank(rows, ncols):
     return rank
 
 
+def boundary_rows(levels, d, cleared=()):
+    """Columns of the d-th boundary map as sparse rows over (d-1)-simplices.
+
+    Simplices are index-sorted tuples; the sign of the face omitting
+    position i is (-1)^i. Rows at the positions in ``cleared`` are not
+    built.
+    """
+    face_index = {s: i for i, s in enumerate(levels[d - 1])}
+    return [
+        {face_index[s[:i] + s[i + 1 :]]: (-1) ** i for i in range(len(s))}
+        for k, s in enumerate(levels[d])
+        if k not in cleared
+    ]
+
+
 def bareiss_rank(rows):
     """Rank by one-step fraction-free (Bareiss) elimination on sparse rows.
 

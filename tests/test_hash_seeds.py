@@ -105,3 +105,41 @@ def test_cli_bytes_do_not_depend_on_the_hash_seed(tmp_path):
             argv = ("--compact", command, "--complex", str(tmp_path / f"{name}.complex"))
             assert by_argv[argv] == (case[command]["exit"], case[command]["stdout"])
     assert {code for code, _ in by_argv.values()} == {0, 1, 2}
+
+
+CORES = r"""
+import json
+from raagnorm import FlagComplex, plant_cycle, random_chordal
+from raagnorm.homology import _core
+
+# A 5-cycle whose every vertex has a closed twin, joined to a chordal part
+# with a planted hole: each twin pair keeps one of its two vertices.
+names = [f"c{i}" for i in range(5)] + [f"d{i}" for i in range(5)]
+edges = [(f"c{i}", f"d{i}") for i in range(5)]
+for i in range(5):
+    j = (i + 1) % 5
+    edges += [(f"{a}{i}", f"{b}{j}") for a in "cd" for b in "cd"]
+K = plant_cycle(random_chordal(30, 5), 6, "h")
+L = FlagComplex(names + list(K.vertices), edges + K.edges() + [("c0", K.vertices[0])])
+cores = [_core(L, set(L.vertices)).vertices]
+cores += [_core(L, L._adj[v]).vertices for v in L.vertices]
+json.dump(cores, __import__("sys").stdout)
+"""
+
+
+def test_cores_do_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(raagnorm.__file__))
+    outputs = {}
+    for seed in SEEDS:
+        proc = subprocess.run(
+            [sys.executable, "-c", CORES], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[seed] = proc.stdout
+    assert outputs["1"] == outputs["2"] == outputs["3"]
+    whole = json.loads(outputs["1"])[0]
+    # One vertex of each twin pair, the chordal part's first vertex, which
+    # joins the 5-cycle to the hole, and the hole.
+    assert len(whole) == 5 + 1 + 6
+    assert sum(v[0] in "cd" for v in whole) == 5 and "v00" in whole

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bareiss_rank, dense_fraction_rank
+from oracles import bareiss_rank, boundary_rows, dense_fraction_rank
 from raagnorm import (
     CliqueCapError,
     FlagComplex,
@@ -19,8 +19,8 @@ from raagnorm import (
     rank_sparse_int,
     reduced_betti,
 )
-from raagnorm.homology import _pivots, boundary_rows
-from test_complexes import random_graph
+from raagnorm.homology import _pivots
+from test_complexes import graphs, random_graph
 
 
 def octahedron():
@@ -185,38 +185,28 @@ def recorded_lows(monkeypatch):
     return lows
 
 
-def eager_lows(levels, apex=None):
+def eager_lows(levels):
     """Lows of every fully built, cleared boundary map, from the top down."""
     out = []
     cleared = ()
     for d in range(len(levels) - 1, 0, -1):
-        cleared = set(_pivots(boundary_rows(levels, d, cleared, apex)))
+        cleared = set(_pivots(boundary_rows(levels, d, cleared)))
         out.append(cleared)
     return out
 
 
 def test_lazy_rows_keep_every_low_and_betti_vector(monkeypatch):
     lows = recorded_lows(monkeypatch)
-    stars = 0
+    links = 0
     for L in cleared_cases():
-        levels = L.simplices_by_dim()
-        expected = eager_lows(levels)
-        lows.clear()
-        assert homology._reduced_betti(levels).betti == bareiss_betti(levels)
-        assert lows == expected
-        # The stars link_betti reduces: the simplices of dimension 1 and up
-        # through the apex, by level, down to the last nonempty one.
-        for v in L.vertices:
-            star = [[s for s in level if v in s] for level in levels[1:]]
-            while star and not star[-1]:
-                star.pop()
-            expected = eager_lows(star, v)
+        for K in [L] + [L.link(v) for v in L.vertices]:
+            levels = K.simplices_by_dim()
+            expected = eager_lows(levels)
             lows.clear()
-            link = homology._reduced_betti(star, v)
-            assert link.betti == bareiss_betti(L.link(v).simplices_by_dim())
+            assert homology._reduced_betti(levels).betti == bareiss_betti(levels)
             assert lows == expected
-            stars += len(star) > 1
-    assert stars > 0  # stars with a boundary map to reduce were checked
+            links += K is not L and len(levels) > 1
+    assert links > 0  # links with a boundary map to reduce were checked
 
 
 def test_most_rows_of_a_contractible_complex_are_never_built(monkeypatch):
@@ -234,7 +224,8 @@ def test_most_rows_of_a_contractible_complex_are_never_built(monkeypatch):
 
     monkeypatch.setattr(homology, "_boundary_row", counted)
     lows = recorded_lows(monkeypatch)
-    assert not any(reduced_betti(L).betti)
+    # reduced_betti reduces the core, a single vertex; reduce L in full.
+    assert not any(homology._reduced_betti(L.simplices_by_dim()).betti)
     kept = sum(map(len, lows))
     # The simplices and the empty one pair off; the augmentation pairs a
     # vertex with the empty simplex, and every other pair is a kept pivot.
@@ -291,7 +282,9 @@ def test_one_enumeration_serves_betti_group_betti_and_euler(monkeypatch):
     rb = reduced_betti(L)
     assert l2_betti_group(L) == [Fraction(b) for b in rb.betti]
     assert euler_raag(L) == 1
-    assert enumerated == [L]
+    # L itself is never enumerated; its core, the planted 4-cycle, once.
+    [core] = enumerated
+    assert core is not L and core.vertices == ("h0", "h1", "h2", "h3")
 
 
 def test_cap_is_checked_before_any_kept_result(monkeypatch):
@@ -398,6 +391,93 @@ def test_rank_nullity_consistency():
         assert rank + nullity == len(levels[d])
 
 
+# -- cores ---------------------------------------------------------------------
+
+
+def core_of(L):
+    return homology._core(L, set(L.vertices))
+
+
+def test_a_connected_chordal_complex_collapses_to_one_vertex():
+    for seed in range(40):
+        L = random_chordal(1 + seed % 30, seed)
+        assert len(core_of(L)) == 1
+    names = [f"k{i}" for i in range(7)]
+    K7 = FlagComplex(names, [(u, w) for i, u in enumerate(names) for w in names[i + 1 :]])
+    # Equal degrees pop in declaration order, so the last vertex stays.
+    assert core_of(K7).vertices == ("k6",)
+
+
+def test_octahedron_and_c5_keep_every_vertex():
+    for L in (octahedron(), c5(), suspension(c5())):
+        assert core_of(L) == L
+
+
+def test_a_core_has_one_vertex_per_collapsible_component():
+    K = random_chordal(4, 2)
+    K = FlagComplex([f"t{v}" for v in K.vertices], [(f"t{a}", f"t{b}") for a, b in K.edges()])
+    L = disjoint_union(random_chordal(9, 1), c5("h"), FlagComplex(["p"]), K)
+    core = core_of(L)
+    assert len(core) == 1 + 5 + 1 + 1 and core.component_count() == 4
+    assert all(core.has_edge(*e) for e in c5("h").edges())
+
+
+def closed_twin(L, v, name):
+    """``L`` with a new vertex adjacent to ``v`` and to all of its neighbours."""
+    return FlagComplex(
+        list(L.vertices) + [name], L.edges() + [(w, name) for w in L.neighbors(v) + (v,)]
+    )
+
+
+def open_twin(L, v, name):
+    """``L`` with a new vertex adjacent to exactly the neighbours of ``v``."""
+    return FlagComplex(list(L.vertices) + [name], L.edges() + [(w, name) for w in L.neighbors(v)])
+
+
+def cone(L, name):
+    return FlagComplex(list(L.vertices) + [name], L.edges() + [(w, name) for w in L.vertices])
+
+
+@st.composite
+def shaped_complexes(draw):
+    """A small random graph grown by a few steps, each one of: a closed
+    twin (dominated), an open twin (not dominated by its twin), a cone
+    (contractible), a disjoint union with another random graph, a planted
+    hole, or a suspension."""
+    L = draw(graphs(max_n=7))
+    for step in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["closed", "open", "cone", "union", "hole", "suspension"]))
+        tag = f"x{step}"
+        if kind in ("closed", "open") and L.vertices:
+            v = draw(st.sampled_from(L.vertices))
+            L = (closed_twin if kind == "closed" else open_twin)(L, v, tag)
+        elif kind == "cone":
+            L = cone(L, tag)
+        elif kind == "union":
+            other = draw(graphs(max_n=5))
+            L = disjoint_union(L, FlagComplex([tag + v for v in other.vertices],
+                                              [(tag + a, tag + b) for a, b in other.edges()]))
+        elif kind == "hole":
+            L = plant_cycle(L, draw(st.integers(4, 6)), tag)
+        elif kind == "suspension" and len(L) <= 10:
+            L = suspension(L, tag)
+    return L
+
+
+@settings(max_examples=120, deadline=None)
+@given(shaped_complexes())
+def test_betti_from_cores_match_bareiss_on_the_full_enumeration(L):
+    levels = L.simplices_by_dim()
+    rb = reduced_betti(L)
+    assert rb.betti == bareiss_betti(levels) and rb.top_dim == len(levels) - 1
+    links = link_betti(L)
+    assert list(links) == list(L.vertices)
+    for v in L.vertices:
+        levels = L.link(v).simplices_by_dim()
+        assert links[v].betti == bareiss_betti(levels)
+        assert links[v].top_dim == len(levels) - 1
+
+
 # -- Euler characteristics -----------------------------------------------------
 
 
@@ -487,11 +567,18 @@ def test_link_betti_is_one_kept_enumeration(monkeypatch):
     monkeypatch.setattr(FlagComplex, "simplices_by_dim", counted)
     L = plant_cycle(random_chordal(12, 9), 5, "h")
     betti = link_betti(L)
+    # L itself is never enumerated; the core of each link once, unless it is
+    # a single vertex.
+    cores = [homology._core(L, L._adj[v]) for v in L.vertices]
+    assert [K.vertices for K in enumerated] == [K.vertices for K in cores if len(K) > 1]
+    assert enumerated and all(K is not L for K in enumerated)
+    enumerated.clear()
     betti[L.vertices[0]] = ReducedBettiVector((7,), 3)  # the caller's copy
     del betti[L.vertices[1]]
-    assert link_betti(L) == {v: reduced_betti(L.link(v)) for v in L.vertices}
-    assert sum(K is L for K in enumerated) == 1
+    kept = link_betti(L)
+    assert enumerated == []
     assert "link_betti" in L._cache
+    assert kept == {v: reduced_betti(L.link(v)) for v in L.vertices}
 
 
 def test_link_betti_over_budget_keeps_nothing(monkeypatch):
