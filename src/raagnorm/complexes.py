@@ -47,16 +47,19 @@ class FlagComplex:
     is, the edge set. Only the public constructor checks its input; an
     induced subcomplex, a link, a component or a core (see
     :mod:`raagnorm.homology`) is read off the already checked adjacency of
-    its parent. These invariants are computed on first use and kept on the
-    instance: the chordality witness, the component vertex sets, the cut
-    ranks, the maximal cliques with a clique tree, the f-vector (simplex
-    count per dimension), the reduced Betti numbers from the core
-    (:func:`raagnorm.homology.reduced_betti`), and for every vertex link its
-    Euler characteristic from one star count
-    (:func:`raagnorm.homology.link_euler`) and its reduced Betti numbers
-    from its core (:func:`raagnorm.homology.link_betti`).
-    Only results are kept, never the simplex lists or the cores. The cache
-    takes no part in equality, hashing or ``repr``.
+    its parent, and :func:`raagnorm.verify.random_chordal` builds its
+    adjacency as it attaches vertices. These invariants are computed on
+    first use and kept on the instance: the chordality witness, the
+    component vertex sets, the cut ranks, the maximal cliques with a clique
+    tree, the f-vector (simplex count per dimension), the reduced Betti
+    numbers from the core (:func:`raagnorm.homology.reduced_betti`), and
+    for every vertex link its Euler characteristic from one star count, a
+    walk of the simplices that builds none of them
+    (:func:`raagnorm.homology.link_euler`), and its reduced Betti numbers
+    from its core (:func:`raagnorm.homology.link_betti`). A link built by
+    :func:`raagnorm.l2.l2_euler_kernel` keeps the f-vector that path counts
+    for it. Only results are kept, never the simplex lists or the cores.
+    The cache takes no part in equality, hashing or ``repr``.
     """
 
     __slots__ = ("vertices", "_index", "_adj", "_cache")
@@ -181,10 +184,12 @@ class FlagComplex:
         vertex, in time proportional to the result (plus sorting it); the
         parse checks are not repeated.
         """
-        keep = set()
-        for v in vs:
-            self.index(v)
-            keep.add(v)
+        if iter(vs) is vs:
+            vs = tuple(vs)  # an iterator; the error below reads it again
+        keep = set(vs)
+        if not self._index.keys() >= keep:
+            for v in vs:
+                self.index(v)  # raises for the first unknown vertex
         adj = self._adj
         verts = tuple(sorted(keep, key=self._index.__getitem__))
         return FlagComplex._from_adjacency(verts, {v: adj[v] & keep for v in verts})

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .characters import Character, check_domain, require_nonzero, require_primitive
-from .complexes import FlagComplex
+from .complexes import FlagComplex, _check_budget
 from .homology import euler_raag, link_betti, reduced_betti
 
 
@@ -57,13 +57,72 @@ def l2_betti_kernel(L: FlagComplex, phi: Character, max_i=None) -> list:
 
 def l2_euler_kernel(L: FlagComplex, phi: Character) -> Fraction:
     """L2-Euler characteristic of the kernel: sum of |phi(v)| * chi of the
-    group of the link of v."""
+    group of the link of v.
+
+    Only the links of vertices where ``phi`` is nonzero are built. A link
+    of at most :data:`_MASK_LINK_MAX` vertices has its f-vector counted
+    over bit masks (:func:`_link_f_vector`) and kept on it for
+    :func:`raagnorm.homology.euler_raag`; a larger one is counted by
+    :meth:`FlagComplex.f_vector`. ``L`` is not enumerated.
+    """
     check_domain(phi, L)
     require_primitive(phi)
     # ``phi`` is integral, so the sum stays in the integers.
-    return Fraction(
-        sum(abs(phi.value(v).numerator) * euler_raag(L.link(v)) for v in L.vertices)
-    )
+    total = 0
+    for v in L.vertices:
+        weight = phi.value(v).numerator
+        if weight:
+            link = L.link(v)
+            if len(link.vertices) <= _MASK_LINK_MAX:
+                link._memo()["f_vector"] = _link_f_vector(link)
+            total += abs(weight) * euler_raag(link)
+    return Fraction(total)
+
+
+# A link's masks are up to as wide as the link, one or more per vertex, so
+# a link of d vertices takes on the order of d * d bits. Past this size the
+# candidate lists of ``FlagComplex.f_vector`` count it instead.
+_MASK_LINK_MAX = 256
+
+
+def _link_f_vector(K):
+    """The f-vector of ``K``, its cliques counted over bit masks.
+
+    Cliques grow as in :meth:`FlagComplex.f_vector`, each from the common
+    later neighbours of its vertices, but the candidates of a clique are a
+    mask over the positions of ``K``, so a mask is never wider than ``K``.
+    A level's size is the number of bits in the masks of the level below,
+    charged to the simplex budget before the level is built.
+    """
+    pos = K._index
+    size = total = len(pos)
+    _check_budget(total)
+    near = []  # each vertex's neighbours, as a mask
+    cands = []  # the later neighbours of each vertex that has some
+    for i, v in enumerate(K.vertices):
+        mask = 0
+        for w in K._adj[v]:
+            mask |= 1 << pos[w]
+        near.append(mask)
+        mask >>= i + 1
+        if mask:
+            cands.append(mask << i + 1)
+    counts = []
+    while size:
+        counts.append(size)
+        size = sum(map(int.bit_count, cands))
+        total += size
+        _check_budget(total)
+        nxt = []
+        for m in cands:
+            while m:
+                low = m & -m
+                m ^= low
+                child = m & near[low.bit_length() - 1]
+                if child:
+                    nxt.append(child)
+        cands = nxt
+    return tuple(counts)
 
 
 class FiberingReport(Record):

@@ -83,15 +83,16 @@ def random_chordal(n: int, seed: int) -> FlagComplex:
     simplicial at insertion time. The maximal cliques are kept as sorted
     tuples of vertex positions, in lexicographic order: attaching the new
     vertex to ``attach`` inside ``K`` adds ``attach + (new,)`` and removes
-    ``K`` only when ``attach == K``.
+    ``K`` only when ``attach == K``. The adjacency is built as vertices
+    attach, so the generated edges are not parsed again.
     """
     if n < 1:
         raise InvalidInput("need at least one vertex")
     rng = SplitMix64(seed)
     width = max(len(str(n - 1)), 1)
     names = [f"v{i:0{width}d}" for i in range(n)]
+    adj = {v: set() for v in names}
     cliques = [(0,)]
-    edges = []
     for i in range(1, n):
         at = rng.below(len(cliques))
         clique = cliques[at]
@@ -100,8 +101,12 @@ def random_chordal(n: int, seed: int) -> FlagComplex:
         if attach == clique:
             del cliques[at]
         insort(cliques, attach + (i,))
-        edges.extend((names[a], names[i]) for a in attach)
-    return FlagComplex(names, edges)
+        new = names[i]
+        near = adj[new]
+        for a in attach:
+            near.add(names[a])
+            adj[names[a]].add(new)
+    return FlagComplex._from_adjacency(tuple(names), adj)
 
 
 def _draw_complex(rng: SplitMix64, min_n, max_n) -> FlagComplex:
@@ -325,9 +330,12 @@ def check_negative_controls() -> CheckResult:
 
 
 def check_contractibility_and_cut_rank(samples, seed, min_n=1, max_n=12) -> CheckResult:
-    """Generated connected chordal complexes are acyclic and the cut rank of
+    """Generated connected chordal complexes are acyclic, the cut rank of
     each vertex matches the link's reduced component count, from the core
-    of the link (:func:`raagnorm.homology.link_betti`)."""
+    of the link (:func:`raagnorm.homology.link_betti`), and the top
+    dimension kept with each link's Betti numbers is two less than the
+    largest maximal clique through the vertex, from the clique tree. No
+    link is built."""
     result = CheckResult("contractibility_and_cut_rank")
     rng = SplitMix64(seed)
     for _ in range(samples):
@@ -339,14 +347,21 @@ def check_contractibility_and_cut_rank(samples, seed, min_n=1, max_n=12) -> Chec
         bad = None
         if len(L) >= 2:
             links = link_betti(L)
+            largest = {}
+            for clique in L.maximal_cliques():
+                for v in clique:
+                    largest[v] = max(largest.get(v, 0), len(clique))
             for v in L.vertices:
                 if L.cut_rank(v) != links[v].rank(0):
-                    bad = v
+                    bad = v, "cut rank mismatch"
+                    break
+                if links[v].top_dim != largest[v] - 2:
+                    bad = v, "link top dimension mismatch"
                     break
         if bad is None:
             result.ok()
         else:
-            result.fail(_case_doc(L, vertex=bad, reason="cut rank mismatch"))
+            result.fail(_case_doc(L, vertex=bad[0], reason=bad[1]))
     return result
 
 

@@ -8,7 +8,7 @@ A fault that no suite check catches says why in ``blind``; it stays in the
 catalogue as a known blind spot.
 """
 
-from raagnorm import homology
+from raagnorm import homology, l2
 
 
 class Fault:
@@ -46,6 +46,27 @@ def link_top_dim_plus_one(original):
     return largest_cliques
 
 
+def star_fold_drops_high_levels(original):
+    """The star fold stops at level 4: the subtree counts of simplices of
+    dimension 4 and up never reach the vertices of their proper faces."""
+
+    def fold(levels, chi):
+        original(levels[:4], chi)
+
+    return fold
+
+
+def link_counter_flips_high_dimensions(original):
+    """The link counter negates its counts in dimensions 3 and up, so each
+    of those levels enters the link's Euler characteristic with the wrong
+    sign."""
+
+    def link_f_vector(K):
+        return tuple(-f if d >= 3 else f for d, f in enumerate(original(K)))
+
+    return link_f_vector
+
+
 FAULTS = {
     "open_neighbourhood_domination": Fault(
         homology,
@@ -58,10 +79,21 @@ FAULTS = {
         homology,
         "_largest_cliques",
         link_top_dim_plus_one,
-        suite={},
+        suite={"contractibility_and_cut_rank": 54},
         oracles=["test_homology::test_link_betti_matches_each_link"],
-        blind="no suite check reads a link's top dimension: the cut-rank check "
-        "reads rank 0 only, and in l2_betti_kernel the top dimension sets only "
-        "how many trailing zeros the default length holds",
+    ),
+    "star_fold_drops_high_levels": Fault(
+        homology,
+        "_fold",
+        star_fold_drops_high_levels,
+        suite={"main_equality": 1},
+        oracles=["test_homology::test_link_euler_matches_each_link"],
+    ),
+    "link_counter_flips_high_dimensions": Fault(
+        l2,
+        "_link_f_vector",
+        link_counter_flips_high_dimensions,
+        suite={"main_equality": 11},
+        oracles=["test_l2::test_kernel_euler_two_code_paths_agree"],
     ),
 }

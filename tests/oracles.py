@@ -43,6 +43,25 @@ def brute_simplices_by_dim(L):
     return levels
 
 
+def clique_counts(L, vs):
+    """Number of cliques of each size 1, 2, ... among the vertices ``vs``
+    (the f-vector of the subcomplex they induce), by exhaustive search: a
+    clique is its first vertex in the order of ``vs`` joined to a clique of
+    that vertex's neighbours later in ``vs``. Each clique is visited once,
+    so this suits sparse sets of any size."""
+    near = {v: set(L.neighbors(v)) for v in vs}
+    counts = [0] * (len(near) + 1)
+
+    def count(rest, size):
+        counts[size] += 1  # the clique taken so far
+        while rest:
+            v, rest = rest[0], rest[1:]
+            count([w for w in rest if w in near[v]], size + 1)
+
+    count(list(near), 0)
+    return tuple(c for c in counts[1:] if c)
+
+
 def parabolic_euler_and_b1(L, vs):
     """Euler characteristic and first L2-Betti number of the subgroup
     generated by ``vs`` (repeats ignored), from its induced subcomplex: one

@@ -315,6 +315,10 @@ def test_induced(p3, tt):
     assert len(tri.edges()) == 3
     with pytest.raises(UnknownVertexError):
         p3.induced(["a", "zz"])
+    # A one-shot iterator is read once for the subset and once for the error.
+    assert p3.induced(v for v in ["c", "a"]) == sub
+    with pytest.raises(UnknownVertexError, match="'zz'"):
+        p3.induced(v for v in ["a", "zz", "yy"])
 
 
 def test_components():

@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bareiss_rank, boundary_rows, dense_fraction_rank
+from oracles import (
+    bareiss_rank,
+    boundary_rows,
+    brute_simplices_by_dim,
+    clique_counts,
+    dense_fraction_rank,
+)
 from raagnorm import (
     CliqueCapError,
     FlagComplex,
@@ -20,6 +26,8 @@ from raagnorm import (
     reduced_betti,
 )
 from raagnorm.homology import _pivots
+from raagnorm.l2 import _link_f_vector
+from raagnorm.verify import SplitMix64
 from test_complexes import graphs, random_graph
 
 
@@ -517,21 +525,91 @@ def test_link_euler_matches_each_link():
 
 
 def test_link_euler_is_one_kept_enumeration(monkeypatch):
-    enumerated = []
-    original = FlagComplex.simplices_by_dim
+    walked = []
+    original = homology._link_euler
 
-    def counted(self):
-        enumerated.append(self)
-        return original(self)
+    def counted(K):
+        walked.append(K)
+        return original(K)
 
-    monkeypatch.setattr(FlagComplex, "simplices_by_dim", counted)
+    def refuse(self):
+        raise AssertionError("the star count built the simplices")
+
     L = plant_cycle(random_chordal(12, 9), 5, "h")
+    want = {v: euler_raag(L.link(v)) for v in L.vertices}
+    monkeypatch.setattr(homology, "_link_euler", counted)
+    monkeypatch.setattr(FlagComplex, "simplices_by_dim", refuse)
     chi = link_euler(L)
+    # The walk records the f-vector, so euler_raag(L) needs no second walk.
+    assert L._cache["f_vector"] == tuple(map(len, brute_simplices_by_dim(L)))
     chi[L.vertices[0]] += 100  # the caller's copy; the kept vector is unchanged
-    assert link_euler(L) == {v: euler_raag(L.link(v)) for v in L.vertices}
-    # The star count records the f-vector, so euler_raag(L) needs no second run.
+    assert link_euler(L) == want
     assert euler_raag(L) == 1 - sum((-1) ** d * f for d, f in enumerate(L.f_vector()))
-    assert sum(K is L for K in enumerated) == 1
+    assert sum(K is L for K in walked) == 1 and len(walked) == 1
+    assert set(L._cache) == {"link_euler", "f_vector"}
+
+
+def assert_both_link_routes_match(L, counts):
+    chi = link_euler(L)
+    assert list(chi) == list(L.vertices)
+    for v in L.vertices:
+        want = counts(L, L.neighbors(v))
+        assert _link_f_vector(L.link(v)) == want
+        assert chi[v] == 1 - sum((-1) ** d * f for d, f in enumerate(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=11))
+def test_link_euler_and_the_link_counter_match_brute_force(L):
+    """Any graph, holes and isolated vertices included, against subset
+    enumeration of each neighbourhood."""
+
+    def counts(L, vs):
+        return tuple(map(len, brute_simplices_by_dim(L.induced(vs))))
+
+    assert_both_link_routes_match(L, counts)
+
+
+@st.composite
+def hubbed_graphs(draw):
+    """A small graph of any shape, plus a hub of degree above 64: joined to
+    every one of 65-75 new vertices and to some old ones, with sparse random
+    edges among the new vertices and from them to the old ones."""
+    base = draw(graphs(max_n=8))
+    new = [f"p{i}" for i in range(draw(st.integers(65, 75)))]
+    old = list(base.vertices)
+    hub_old = [v for v in old if draw(st.booleans())]
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    density = draw(st.integers(0, 6))
+    edges = base.edges() + [("hub", v) for v in hub_old + new]
+    for i, a in enumerate(new):
+        for b in new[i + 1 :] + old:
+            if rng.below(100) < density:
+                edges.append((a, b))
+    return FlagComplex(old + ["hub"] + new, edges)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hubbed_graphs())
+def test_link_euler_and_the_link_counter_past_64_neighbours(L):
+    """A link mask wider than a machine word, against the exhaustive
+    clique count of each neighbourhood."""
+    assert len(L.neighbors("hub")) > 64
+    assert_both_link_routes_match(L, clique_counts)
+
+
+def test_link_euler_over_budget_keeps_nothing(monkeypatch):
+    L = suspension(plant_cycle(random_chordal(10, 3), 4, "h"))
+    total = sum(L.f_vector())
+    twin = FlagComplex(L.vertices, L.edges())
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total - 1)
+    with pytest.raises(CliqueCapError) as err:
+        link_euler(twin)
+    assert err.value.info["budget"] == total - 1
+    assert not twin._cache
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total)
+    assert link_euler(twin) == link_euler(L)
+    assert twin._cache["f_vector"] == L.f_vector()
 
 
 def test_link_betti_matches_each_link():

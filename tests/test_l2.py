@@ -6,18 +6,22 @@ import pytest
 from raagnorm import (
     Character,
     CharacterDomainError,
+    CliqueCapError,
     FlagComplex,
     NotIntegralError,
     NotPrimitiveError,
     ParseError,
     RaagError,
     ZeroCharacterError,
+    complexes,
     cut_rank_weights,
     euler_raag,
     is_fibered,
+    l2,
     l2_betti_group,
     l2_betti_kernel,
     l2_euler_kernel,
+    link_euler,
     living_subcomplex,
     parse_character,
     plant_cycle,
@@ -277,6 +281,62 @@ def test_kernel_concentrated_in_degree_one_for_chordal():
         betti = l2_betti_kernel(L, phi)
         assert all(b == 0 for i, b in enumerate(betti) if i != 1)
         assert l2_euler_kernel(L, phi) == -betti[1]
+
+
+def test_kernel_euler_builds_a_link_only_where_phi_is_nonzero(monkeypatch):
+    built = []
+    original = FlagComplex.link
+
+    def recorded(self, v):
+        built.append(v)
+        return original(self, v)
+
+    L = plant_cycle(random_chordal(14, 5), 5, "h")
+    values = {v: (k % 3) - 1 for k, v in enumerate(L.vertices)}  # a third are 0
+    phi = Character(values)
+    want = sum(abs(x) * euler_raag(L.link(v)) for v, x in values.items())
+    monkeypatch.setattr(FlagComplex, "link", recorded)
+    assert l2_euler_kernel(L, phi) == want
+    assert built == [v for v, x in values.items() if x]
+    assert L._cache is None  # reads nothing kept on L, keeps nothing
+
+
+def test_kernel_euler_over_budget_keeps_nothing(monkeypatch):
+    L = plant_cycle(random_chordal(12, 8), 4, "h")
+    phi = Character({v: 1 for v in L.vertices})
+    want = l2_euler_kernel(L, phi)
+    largest = max(sum(L.link(v).f_vector()) for v in L.vertices)
+    twin = FlagComplex(L.vertices, L.edges())
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", largest - 1)
+    with pytest.raises(CliqueCapError) as err:
+        l2_euler_kernel(twin, phi)
+    assert err.value.info["budget"] == largest - 1
+    assert not twin._cache
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", largest)
+    assert l2_euler_kernel(twin, phi) == want
+    assert not twin._cache
+
+
+def test_kernel_euler_counts_a_large_link_without_masks(monkeypatch):
+    """A fan whose hub has 3000 neighbours, and a second hub with exactly
+    ``_MASK_LINK_MAX`` of them: only links up to that size are counted
+    over masks, so no mask is wider than that."""
+    path = [f"p{i}" for i in range(3000)]
+    edges = list(zip(path, path[1:])) + [("h", p) for p in path]
+    edges += [("g", p) for p in path[: l2._MASK_LINK_MAX]]
+    L = FlagComplex(path + ["h", "g"], edges)
+    sizes = []
+    original = l2._link_f_vector
+
+    def recorded(K):
+        sizes.append(len(K.vertices))
+        return original(K)
+
+    monkeypatch.setattr(l2, "_link_f_vector", recorded)
+    phi = Character({v: 1 for v in L.vertices})
+    assert l2_euler_kernel(L, phi) == sum(link_euler(L).values())
+    assert max(sizes) == l2._MASK_LINK_MAX and len(sizes) == len(L.vertices) - 1
+    assert L.link("h").f_vector() == (3000, 2999)
 
 
 def test_kernel_euler_two_code_paths_agree():
