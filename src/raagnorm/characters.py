@@ -36,10 +36,11 @@ class Character:
         for v, x in values.items():
             if not isinstance(v, str):
                 raise ParseError("character keys must be vertex strings")
-            if isinstance(x, float):
+            # A bool is an int to isinstance, but no character value.
+            if isinstance(x, (bool, float)):
                 raise ParseError(
-                    f"character value for {v!r} is a float; use int, Fraction "
-                    'or "p/q"'
+                    f"character value for {v!r} is a {type(x).__name__}; use "
+                    'int, Fraction or "p/q"'
                 )
             if isinstance(x, (int, Fraction)):
                 vals[v] = Fraction(x)

@@ -53,10 +53,12 @@ class FlagComplex:
     component vertex sets, the cut ranks, the maximal cliques with a clique
     tree, the f-vector (simplex count per dimension), the reduced Betti
     numbers from the core (:func:`raagnorm.homology.reduced_betti`), and
-    for every vertex link its Euler characteristic from one star count, a
-    walk of the simplices that builds none of them
-    (:func:`raagnorm.homology.link_euler`), and its reduced Betti numbers
-    from its core (:func:`raagnorm.homology.link_betti`). A link built by
+    for every vertex link its Euler characteristic and its reduced Betti
+    numbers from its core (:func:`raagnorm.homology.link_betti`). One walk
+    of the simplices that builds none of them (:func:`_clique_walk`)
+    records the f-vector whenever it runs; it serves :meth:`f_vector`,
+    :meth:`simplices_by_dim` and the star count of the link Euler
+    characteristics (:func:`raagnorm.homology.link_euler`). A link built by
     :func:`raagnorm.l2.l2_euler_kernel` keeps the f-vector that path counts
     for it. Only results are kept, never the simplex lists or the cores.
     The cache takes no part in equality, hashing or ``repr``.
@@ -246,70 +248,36 @@ class FlagComplex:
         """All simplices, grouped by dimension, each lexicographically sorted.
 
         Level ``d`` holds the (d+1)-cliques as index-sorted tuples; the empty
-        complex yields an empty list. Each simplex grows along with its
-        candidates, the common later neighbours of its vertices in
-        declaration order (Chiba-Nishizeki): the child ``s + (w,)`` keeps
-        the candidates after ``w`` that are adjacent to ``w``. Every run
-        records the f-vector (see :meth:`f_vector`); the levels themselves
-        are not kept. The running simplex count is charged to
-        :data:`SIMPLEX_BUDGET` before each level is built, so an enumeration
-        over budget stops early and records nothing.
+        complex yields an empty list. Each level above the vertices is built
+        from one yield of :func:`_clique_walk`, after the walk has charged
+        it to :data:`SIMPLEX_BUDGET`: the tuple of each node that has
+        children is its parent's plus its last vertex, and its children
+        extend it by each of its candidates. The walk records the f-vector
+        (see :meth:`f_vector`); the levels themselves are not kept.
         """
-        total = len(self.vertices)
-        _check_budget(total)
-        adj = self._adj
         levels = []
-        cur = [(v,) for v in self.vertices]
-        cands = list(_later_neighbours(adj, self.vertices, self._index).values())
-        while cur:
-            levels.append(cur)
-            total += sum(map(len, cands))
-            _check_budget(total)
-            nxt = []
-            nxt_cands = []
-            for s, cand in zip(cur, cands):
-                for i, w in enumerate(cand):
-                    near = adj[w]
-                    nxt.append(s + (w,))
-                    nxt_cands.append([x for x in cand[i + 1 :] if x in near])
-            cur = nxt
-            cands = nxt_cands
-        self._memo()["f_vector"] = tuple(len(level) for level in levels)
+        nodes = [()]  # the yield before the first holds the empty simplex
+        for lasts, parents, cands in _clique_walk(self):
+            nodes = [nodes[p] + (w,) for w, p in zip(lasts, parents)]
+            levels.append([s + (w,) for s, cand in zip(nodes, cands) for w in cand])
+        if self.vertices:  # built last, so after the walk charged it
+            levels.insert(0, [(v,) for v in self.vertices])
         return levels
 
     def f_vector(self):
         """Number of simplices in each dimension, from dimension 0 up.
 
-        Recorded by every :meth:`simplices_by_dim` run. When none has run
-        yet, each level is counted from the candidate lists of the level
-        below (one simplex per candidate), charged to
-        :data:`SIMPLEX_BUDGET` at the same points, and no simplex is built.
+        Recorded by every walk of the simplices (:func:`_clique_walk`), so
+        by :meth:`simplices_by_dim` and
+        :func:`raagnorm.homology.link_euler` too. When none has run yet, a
+        walk is drained: each level is counted from the candidate lists of
+        the level below, and no simplex is built.
         """
         memo = self._memo()
-        if "f_vector" in memo:
-            return memo["f_vector"]
-        adj = self._adj
-        size = total = len(self.vertices)
-        _check_budget(total)
-        counts = []
-        # Only candidate lists that have children matter for the counts.
-        later = _later_neighbours(adj, self.vertices, self._index)
-        cands = [c for c in later.values() if c]
-        while size:
-            counts.append(size)
-            size = sum(map(len, cands))
-            total += size
-            _check_budget(total)
-            nxt = []
-            for cand in cands:
-                for i in range(len(cand) - 1):
-                    near = adj[cand[i]]
-                    child = [x for x in cand[i + 1 :] if x in near]
-                    if child:
-                        nxt.append(child)
-            cands = nxt
-        memo["f_vector"] = counts = tuple(counts)
-        return counts
+        if "f_vector" not in memo:
+            for _ in _clique_walk(self):
+                pass
+        return memo["f_vector"]
 
 
 # -- cached structure ---------------------------------------------------------
@@ -325,6 +293,52 @@ def _later_neighbours(adj, order, pos):
             if pos[w] < p:
                 later[w].append(u)
     return later
+
+
+def _clique_walk(K):
+    """Walk the simplices of ``K`` level by level, building none of them.
+
+    Each simplex is a node of the Chiba-Nishizeki tree: its children extend
+    it by each of its candidates, the common later neighbours of its
+    vertices in declaration order, and the child ending in ``w`` keeps the
+    candidates after ``w`` that are adjacent to ``w``. For each level from
+    dimension 0 up, the walk yields the nodes that have children as three
+    lists: each node's last vertex, its parent's place in the previous
+    yield (0, the empty simplex, for a vertex) and its candidates. The
+    running simplex count is charged to :data:`SIMPLEX_BUDGET`, the vertex
+    count first and then each level before it is built, so a walk over
+    budget stops early; the f-vector is recorded on ``K`` only when the
+    walk finishes.
+    """
+    adj = K._adj
+    verts = K.vertices
+    total = len(verts)
+    _check_budget(total)
+    counts = [total] if verts else []
+    later = _later_neighbours(adj, verts, K._index)
+    lasts = [v for v in verts if later[v]]
+    parents = [0] * len(lasts)
+    cands = [later[v] for v in lasts]
+    while cands:
+        size = sum(map(len, cands))
+        total += size
+        _check_budget(total)
+        counts.append(size)
+        yield lasts, parents, cands
+        lasts, parents, nxt = [], [], []
+        add_last, add_parent, add_cand = lasts.append, parents.append, nxt.append
+        for j, cand in enumerate(cands):
+            # The last candidate has no later candidates, so no children.
+            for i in range(len(cand) - 1):
+                w = cand[i]
+                near = adj[w]
+                child = [x for x in cand[i + 1 :] if x in near]
+                if child:
+                    add_last(w)
+                    add_parent(j)
+                    add_cand(child)
+        cands = nxt
+    K._memo()["f_vector"] = tuple(counts)
 
 
 def _component_vertex_sets(L, vs=None):

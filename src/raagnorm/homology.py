@@ -33,7 +33,9 @@ same work for its apparent and emergent pairs.
 
 Euler characteristics need counts alone. ``euler_raag`` reads the f-vector,
 and ``link_euler`` reads every vertex link's off one walk of the complex's
-simplices, a star count that builds no simplex tuple. The L2-Euler path
+simplices, a star count that builds no simplex tuple. It is the walk that
+counts the f-vector and lists the simplices for the boundary matrices
+(:func:`raagnorm.complexes._clique_walk`). The L2-Euler path
 (:func:`raagnorm.l2.l2_euler_kernel`) counts its links its own way.
 """
 
@@ -44,7 +46,7 @@ from itertools import chain
 from math import gcd
 
 from ._record import Record
-from .complexes import FlagComplex, _check_budget, _later_neighbours
+from .complexes import FlagComplex, _clique_walk
 
 
 def rank_sparse_int(rows) -> int:
@@ -281,64 +283,39 @@ def link_euler(L: FlagComplex) -> dict:
     The (d-1)-simplices of the link of ``v`` are exactly the d-simplices of
     ``L`` through ``v``, so the link's group Euler characteristic is the sum
     over simplices containing ``v`` of (-1)^dim (the vertex itself counts
-    +1 for the empty simplex of the link). The walk (:func:`_link_euler`)
-    grows the simplices as :meth:`FlagComplex.simplices_by_dim` does but
-    builds none of them; it records the f-vector of ``L`` and charges the
-    simplex budget at the same points. Computed once per complex and kept
-    on it; the caller gets a copy.
+    +1 for the empty simplex of the link). The walk
+    (:func:`raagnorm.complexes._clique_walk`) is the one behind
+    :meth:`FlagComplex.simplices_by_dim` and :meth:`FlagComplex.f_vector`:
+    it builds no simplex, charges the simplex budget and records the
+    f-vector of ``L``. Computed once per complex and kept on it; the caller
+    gets a copy.
     """
     return dict(L._cached("link_euler", _link_euler))
 
 
 def _link_euler(L):
-    """The star count of every vertex of ``L``.
+    """The star count of every vertex of ``L``, from one walk of its
+    simplices (:func:`raagnorm.complexes._clique_walk`).
 
-    Each simplex is a node of the Chiba-Nishizeki tree: its parent is the
-    simplex without its last vertex, and its children extend it by each of
-    its candidates. A simplex lies in the star of ``v`` exactly when a node
-    on its path from the root ends in ``v``, so the star count of ``v`` is
+    A simplex lies in the star of ``v`` exactly when a node on its path from
+    the root of the walk's tree ends in ``v``, so the star count of ``v`` is
     the sum, over the nodes ending in ``v``, of the alternating count of
     the node's subtree. A node's own sign goes to its last vertex as the
-    walk reaches it. The walk keeps, level by level, only the nodes with
-    children: each one's last vertex, its parent's place in the level below
-    and the signed count of its subtree without itself, at first just its
+    walk reaches it. For each node with children the walk yields its last
+    vertex and its parent's place in the level below; kept here with the
+    signed count of its subtree without itself, at first just its
     children's signs. :func:`_fold` adds the rest, from the top level down.
     """
-    adj = L._adj
-    verts = L.vertices
-    total = len(verts)
-    _check_budget(total)
-    chi = dict.fromkeys(verts, 1)
-    counts = [total] if verts else []
-    later = _later_neighbours(adj, verts, L._index)
-    lasts = [v for v in verts if later[v]]
-    cands = [later[v] for v in lasts]
-    parents = ()
+    chi = dict.fromkeys(L.vertices, 1)
     levels = []
     sign = 1
-    while cands:
-        size = sum(map(len, cands))
-        total += size
-        _check_budget(total)
-        counts.append(size)
+    for lasts, parents, cands in _clique_walk(L):
         sign = -sign
         levels.append((lasts, parents, [sign * len(c) for c in cands]))
-        lasts, nxt, parents = [], [], []
-        for j, cand in enumerate(cands):
+        for cand in cands:
             for w in cand:
                 chi[w] += sign
-            # The last candidate has no later candidates, so no children.
-            for i in range(len(cand) - 1):
-                w = cand[i]
-                near = adj[w]
-                child = [x for x in cand[i + 1 :] if x in near]
-                if child:
-                    lasts.append(w)
-                    nxt.append(child)
-                    parents.append(j)
-        cands = nxt
     _fold(levels, chi)
-    L._memo()["f_vector"] = tuple(counts)
     return chi
 
 

@@ -167,13 +167,17 @@ class ZonotopeElement:
     def from_json_doc(cls, doc, ambient):
         if not isinstance(doc, dict) or set(doc) != {"generators"}:
             raise ParseError('zonotope document must be {"generators": [...]}')
+        if not isinstance(doc["generators"], list):
+            raise ParseError('zonotope document: "generators" must be a list')
         gens = []
         for pos, g in enumerate(doc["generators"]):
             if not isinstance(g, dict) or set(g) != {"dir", "coeff"}:
                 raise ParseError(f"generators[{pos}]: expected dir and coeff")
             if not isinstance(g["coeff"], int) or isinstance(g["coeff"], bool):
                 raise ParseError(f"generators[{pos}]: coeff must be an integer")
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in g["dir"]):
+            if not isinstance(g["dir"], list) or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in g["dir"]
+            ):
                 raise ParseError(f"generators[{pos}]: dir must be integer coordinates")
             gens.append((tuple(g["dir"]), g["coeff"]))
         return cls(ambient, gens)

@@ -22,7 +22,7 @@ from .errors import (
     RaagError,
     ZeroCharacterError,
 )
-from .homology import link_betti, reduced_betti
+from .homology import euler_raag, link_betti, reduced_betti
 from .l2 import is_fibered, l2_euler_kernel
 from .polytopes import (
     l2_polytope,
@@ -450,8 +450,6 @@ def check_seminorm_axioms(complexes, pairs, seed, min_n=2, max_n=12) -> CheckRes
 def check_euler_bookkeeping(samples, seed, min_n=1, max_n=12) -> CheckResult:
     """euler_check equals the group Euler characteristic for clique trees,
     dual splittings, and free-product wrappers."""
-    from .homology import euler_raag
-
     result = CheckResult("euler_bookkeeping")
     rng = SplitMix64(seed)
     for index in range(samples):

@@ -1,19 +1,21 @@
 """Planted faults and the checks that catch them.
 
 Each fault replaces one private function on one path, through pytest's
-``monkeypatch``. The catalogue records which checks catch each fault: the
-failure count of every suite check under the default ``verify --suite``
-config, and the unit oracles (test functions, as "module::name") that fail.
+``monkeypatch``, in every module that binds its name: a fault in a shared
+primitive reaches each path that imports it. The catalogue records which
+checks catch each fault: the failure count of every suite check under the
+default ``verify --suite`` config, and the unit oracles (test functions, as
+"module::name") that fail.
 A fault that no suite check catches says why in ``blind``; it stays in the
 catalogue as a known blind spot.
 """
 
-from raagnorm import homology, l2
+from raagnorm import complexes, homology, l2
 
 
 class Fault:
-    def __init__(self, module, attr, make, suite, oracles, blind=None):
-        self.module = module
+    def __init__(self, modules, attr, make, suite, oracles, blind=None):
+        self.modules = modules  # the defining module first
         self.attr = attr
         self.make = make  # original function -> faulty replacement
         self.suite = suite
@@ -21,7 +23,11 @@ class Fault:
         self.blind = blind
 
     def plant(self, monkeypatch):
-        monkeypatch.setattr(self.module, self.attr, self.make(getattr(self.module, self.attr)))
+        original = getattr(self.modules[0], self.attr)
+        faulty = self.make(original)
+        for module in self.modules:
+            assert getattr(module, self.attr) is original, module.__name__
+            monkeypatch.setattr(module, self.attr, faulty)
 
 
 def open_neighbourhood_domination(original):
@@ -67,33 +73,62 @@ def link_counter_flips_high_dimensions(original):
     return link_f_vector
 
 
+def walk_drops_last_candidates(original):
+    """From dimension 3 up, the clique walk loses the last candidate of each
+    list, so every simplex ending there goes missing: from the recorded
+    f-vector, from each simplex list and from each star count. A last
+    candidate has no children, so no simplex above it is lost."""
+
+    def clique_walk(K):
+        counts = []
+        for k, (lasts, parents, cands) in enumerate(original(K)):
+            if k >= 2:  # these candidates end simplices of dimension k + 1
+                cands = [cand[:-1] for cand in cands]
+            counts.append(sum(map(len, cands)))
+            yield lasts, parents, cands
+        # A level that lost every simplex was the last one.
+        K._cache["f_vector"] = K._cache["f_vector"][:1] + tuple(filter(None, counts))
+
+    return clique_walk
+
+
 FAULTS = {
     "open_neighbourhood_domination": Fault(
-        homology,
+        (homology,),
         "_dominated",
         open_neighbourhood_domination,
         suite={"contractibility_and_cut_rank": 37},
         oracles=["test_homology::test_link_betti_matches_each_link"],
     ),
     "link_top_dim_plus_one": Fault(
-        homology,
+        (homology,),
         "_largest_cliques",
         link_top_dim_plus_one,
         suite={"contractibility_and_cut_rank": 54},
         oracles=["test_homology::test_link_betti_matches_each_link"],
     ),
     "star_fold_drops_high_levels": Fault(
-        homology,
+        (homology,),
         "_fold",
         star_fold_drops_high_levels,
         suite={"main_equality": 1},
         oracles=["test_homology::test_link_euler_matches_each_link"],
     ),
     "link_counter_flips_high_dimensions": Fault(
-        l2,
+        (l2,),
         "_link_f_vector",
         link_counter_flips_high_dimensions,
         suite={"main_equality": 11},
         oracles=["test_l2::test_kernel_euler_two_code_paths_agree"],
+    ),
+    "walk_drops_last_candidates": Fault(
+        (complexes, homology),
+        "_clique_walk",
+        walk_drops_last_candidates,
+        suite={"main_equality": 24, "euler_bookkeeping": 9},
+        oracles=[
+            "test_complexes::test_simplices_by_dim_matches_bruteforce",
+            "test_homology::test_link_euler_and_the_link_counter_match_brute_force",
+        ],
     ),
 }

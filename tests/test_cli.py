@@ -319,6 +319,13 @@ def test_parse_error_exit_two(files, capsys):
     assert json.loads(out)["error"]["kind"] == "parse"
 
 
+def test_boolean_character_value_exit_two(files, capsys):
+    char = files("phi.json", '{"values": {"a": true, "b": 1, "c": false}}')
+    code, out = run(capsys, "norm", "--complex", files("p3.json", P3), "--char", char)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "parse"
+
+
 def test_missing_file_exit_two(capsys):
     code, out = run(capsys, "analyze", "--complex", "/nonexistent/x.json")
     assert code == 2

@@ -668,7 +668,7 @@ def test_link_betti_over_budget_keeps_nothing(monkeypatch):
         link_betti(twin)
     assert err.value.info["budget"] == total - 1
     assert not twin._cache
-    # Every link fits the budget on its own; the star read-off needs L's.
+    # Every link fits the budget on its own; link_betti counts L's f-vector first.
     assert all(sum(twin.link(v).f_vector()) < total - 1 for v in twin.vertices)
     monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", total)
     assert link_betti(twin) == link_betti(L)

@@ -158,6 +158,12 @@ def test_character_rejects_floats_and_bad_docs():
         parse_character('{"values":{"a":"x/y"}}')
     with pytest.raises(ParseError):
         parse_character('{"wrong":{}}')
+    # A bool is an int to isinstance, but no character value.
+    for value in (True, False):
+        with pytest.raises(ParseError, match="is a bool"):
+            Character({"a": value, "b": 1})
+    with pytest.raises(ParseError):
+        parse_character('{"values":{"a":true,"b":1,"c":false}}')
 
 
 def test_character_arithmetic_and_proportionality():
@@ -355,8 +361,8 @@ def test_kernel_euler_two_code_paths_agree():
 
 
 def test_kernel_betti_alternating_sum_is_the_kernel_euler():
-    """Two routes: link Betti numbers off the star read-off against one
-    built link per vertex, counted."""
+    """Two routes: link Betti numbers from each link's core against the
+    clique count of each built link."""
     rng = SplitMix64(23)
     cases = [random_chordal(2 + seed % 12, seed * 13 + 7) for seed in range(20)]
     cases += [plant_cycle(random_chordal(10, seed), 4 + seed % 4, "h") for seed in range(10)]

@@ -12,6 +12,7 @@ from raagnorm import (
     FlagComplex,
     NotChordalError,
     NotOneEndedError,
+    ParseError,
     ZonotopeElement,
     l2_polytope,
     norm_ball,
@@ -102,6 +103,17 @@ def test_zonotope_json_roundtrip():
     z = seg((1, 2, 0), 3) - seg((0, 0, 1), 2)
     doc = z.to_json_doc()
     assert ZonotopeElement.from_json_doc(doc, AMBIENT) == z
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"generators": 7}, {"generators": [{"dir": 5, "coeff": 1}]}],
+    ids=["generators_not_a_list", "dir_not_a_list"],
+)
+def test_zonotope_doc_that_is_not_a_list_is_a_parse_error(doc):
+    with pytest.raises(ParseError) as caught:
+        ZonotopeElement.from_json_doc(doc, AMBIENT)
+    assert caught.value.kind == "parse"
 
 
 # -- thickness -------------------------------------------------------------------

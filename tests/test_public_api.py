@@ -84,6 +84,34 @@ def test_no_unused_imports(module):
     assert imported <= used, sorted(imported - used)
 
 
+def _callers(tree, name, prefix):
+    """Qualified names of the functions in ``tree`` whose own body (not a
+    nested function's) calls ``name``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+                found.add(scope)
+            visit(child, scope)
+
+    visit(tree, prefix)
+    return found
+
+
+def test_two_clique_counts_charge_the_simplex_budget():
+    """One walk of the cliques serves ``f_vector``, ``simplices_by_dim`` and
+    the star count of ``link_euler``; the L2 path counts small links over
+    bit masks. A third count that charges the budget shows up here."""
+    callers = set()
+    for module in MODULES:
+        callers |= _callers(ast.parse(module.read_text()), "_check_budget", module.stem)
+    assert callers == {"complexes._clique_walk", "l2._link_f_vector"}
+
+
 def _float_exemptions(tree, module):
     """``float`` names that reject a float (``isinstance`` in the test of an
     ``if`` whose body raises) or that lie in the CLI's SVG projection."""
