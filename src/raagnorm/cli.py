@@ -47,6 +47,8 @@ def _read(path, what):
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {what} file {path!r}: not UTF-8 text") from exc
 
 
 def _load_complex(args):
@@ -175,10 +177,10 @@ def _build_parser():
     parser.add_argument("--compact", action="store_true", help="minified JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, helptext, complex_required=True, char=False):
+    def add(name, handler, helptext, char=False):
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(handler=handler)
-        p.add_argument("--complex", required=complex_required, help="complex file (JSON or edge list)")
+        p.add_argument("--complex", required=True, help="complex file (JSON or edge list)")
         if char:
             p.add_argument("--char", required=True, help="character file (JSON)")
         return p

@@ -16,7 +16,6 @@ from .errors import (
     CliqueCapError,
     DisconnectedError,
     InvalidInput,
-    NoCliqueSeparatorError,
     NotChordalError,
     ParseError,
     UnknownVertexError,
@@ -77,13 +76,22 @@ class FlagComplex:
             index[v] = i
         adj = {v: set() for v in verts}
         for pos, e in enumerate(edges):
-            try:
-                a, b = e
-            except (TypeError, ValueError):
+            if not isinstance(e, (tuple, list)) or len(e) != 2:
                 raise ParseError(f"edges[{pos}]: expected a pair of vertices")
-            for x in (a, b):
-                if x not in index:
-                    raise ParseError(f"edges[{pos}]: undeclared endpoint {x!r}")
+            a, b = e
+            # Membership raises TypeError for an unhashable endpoint. The
+            # type check runs only after a failed test, so a valid edge
+            # costs one membership test per endpoint.
+            try:
+                declared = a in index and b in index
+            except TypeError:
+                declared = False
+            if not declared:
+                for x in (a, b):
+                    if not isinstance(x, str):
+                        raise ParseError(f"edges[{pos}]: endpoints must be strings")
+                    if x not in index:
+                        raise ParseError(f"edges[{pos}]: undeclared endpoint {x!r}")
             if a == b:
                 raise ParseError(f"edges[{pos}]: self-loop at {a!r}")
             if b in adj[a]:
@@ -706,7 +714,7 @@ def require_chordal(L: FlagComplex) -> ChordalityWitness:
     return w
 
 
-# -- separators ---------------------------------------------------------------
+# -- cliques ------------------------------------------------------------------
 
 
 def _is_clique(L, vertices) -> bool:
@@ -719,64 +727,6 @@ def _is_clique(L, vertices) -> bool:
     return all(
         L.has_edge(v, w) for i, v in enumerate(vertices) for w in vertices[i + 1 :]
     )
-
-
-def _reach(L, sources, blocked):
-    """Vertices joined to ``sources`` by paths outside ``blocked``, the
-    sources included."""
-    reach = set(sources)
-    stack = list(reach)
-    while stack:
-        u = stack.pop()
-        for w in L._adj[u]:
-            if w not in blocked and w not in reach:
-                reach.add(w)
-                stack.append(w)
-    return reach
-
-
-def find_separating_clique(L: FlagComplex, k0, k1) -> tuple:
-    """A clique whose removal puts ``k0`` and ``k1`` in different components.
-
-    Deterministic and inclusion-minimal: shrink N(k0) toward each side
-    (neighborhood of the reaching components), then drop vertices greedily in
-    declaration order. In a connected chordal complex the result is a clique
-    whenever ``k0`` and ``k1`` are connected subcomplexes.
-    """
-    order0 = L.sorted(k0)
-    k0 = set(order0)
-    k1 = set(L.sorted(k1))
-    if not k0 or not k1:
-        raise InvalidInput("separator endpoints must be nonempty")
-    if k0 & k1:
-        raise InvalidInput("separator endpoints intersect")
-    for a in order0:
-        across = L._adj[a] & k1
-        if across:
-            b = min(across, key=L.index)
-            raise InvalidInput(f"endpoints are adjacent via {a!r}-{b!r}")
-    if not L.is_connected():
-        raise DisconnectedError("separator search requires a connected complex")
-    require_chordal(L)
-
-    sep = set()
-    for v in k0:
-        sep.update(L._adj[v])
-    sep -= k0
-    for side in (k1, k0):
-        reach = _reach(L, side, sep)
-        sep = {s for s in sep if any(w in reach for w in L._adj[s])}
-    for s in L.sorted(sep):
-        smaller = sep - {s}
-        if _reach(L, k0, smaller).isdisjoint(k1):
-            sep = smaller
-    result = L.sorted(sep)
-    if not _is_clique(L, result):
-        raise NoCliqueSeparatorError(
-            "minimal separator is not a clique (disconnected endpoints?)",
-            separator=list(result),
-        )
-    return result
 
 
 # -- spanning forests ----------------------------------------------------------

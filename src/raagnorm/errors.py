@@ -76,14 +76,6 @@ class AmbientMismatchError(RaagError):
     kind = "ambient_mismatch"
 
 
-class NoCliqueSeparatorError(RaagError):
-    """No clique separates the two given sets (possible only when one of
-    them is disconnected; connected non-adjacent sets in a connected chordal
-    complex always admit one)."""
-
-    kind = "no_clique_separator"
-
-
 class SplittingError(RaagError):
     """Structural misuse of a graph of groups (multi-vertex input to a
     single-vertex operation, missing stable letters, non-proportional
@@ -100,7 +92,7 @@ class ResultTooLargeError(RaagError):
 
 
 class InvalidInput(RaagError):
-    """Generic precondition violation (empty/intersecting/adjacent sets,
-    singleton complex where two vertices are needed, bad sizes)."""
+    """Generic precondition violation (singleton complex where two vertices
+    are needed, bad sizes)."""
 
     kind = "invalid_input"

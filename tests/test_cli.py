@@ -319,6 +319,36 @@ def test_parse_error_exit_two(files, capsys):
     assert json.loads(out)["error"]["kind"] == "parse"
 
 
+@pytest.mark.parametrize(
+    "edges",
+    ['[[["a"],"b"]]', '[[{"a":1},"b"]]', '["ab"]', '[{"a":1,"b":2}]'],
+    ids=["list_endpoint", "object_endpoint", "string_edge", "object_edge"],
+)
+def test_malformed_edge_exit_two(files, capsys, edges):
+    text = '{"vertices":["a","b"],"edges":' + edges + "}"
+    code, out = run(capsys, "analyze", "--complex", files("bad.json", text))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "parse" and error["detail"].startswith("edges[0]: ")
+
+
+def test_input_file_that_is_not_utf8_exit_two(files, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff")
+    p3, phi = files("p3.json", P3), files("phi.json", PHI111)
+    for argv, what in (
+        (["analyze", "--complex", str(bad)], "complex"),
+        (["norm", "--complex", p3, "--char", str(bad)], "character"),
+        (["verify", "--suite", "--config", str(bad)], "suite config"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "parse",
+            "detail": f"cannot read {what} file {str(bad)!r}: not UTF-8 text",
+        }
+
+
 def test_boolean_character_value_exit_two(files, capsys):
     char = files("phi.json", '{"values": {"a": true, "b": 1, "c": false}}')
     code, out = run(capsys, "norm", "--complex", files("p3.json", P3), "--char", char)

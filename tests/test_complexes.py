@@ -8,9 +8,7 @@ from oracles import (
     brute_chordal,
     brute_maximal_cliques,
     brute_simplices_by_dim,
-    is_clique,
     recount_cut_rank,
-    separates,
     sorted_peo_violation,
 )
 from raagnorm import (
@@ -18,13 +16,11 @@ from raagnorm import (
     DisconnectedError,
     FlagComplex,
     InvalidInput,
-    NoCliqueSeparatorError,
     NotChordalError,
     ParseError,
     UnknownVertexError,
     clique_tree,
     complexes,
-    find_separating_clique,
     is_chordal,
     lex_bfs,
     parse_complex,
@@ -91,6 +87,12 @@ def test_parse_empty_complex():
         ('{"vertices":["a"],"edges":[["a","a"]]}', "self-loop"),
         ('{"vertices":["a","b"],"edges":[["a","b"],["b","a"]]}', "duplicate"),
         ('{"vertices":["a"],"edges":[["a","b"]]}', "undeclared"),
+        ('{"vertices":["a","b"],"edges":[[["a"],"b"]]}', "endpoints must be strings"),
+        ('{"vertices":["a","b"],"edges":[["a",{"b":1}]]}', "endpoints must be strings"),
+        ('{"vertices":["a","b"],"edges":[["a",1]]}', "endpoints must be strings"),
+        ('{"vertices":["a","b"],"edges":["ab"]}', "expected a pair"),
+        ('{"vertices":["a","b"],"edges":[{"a":1,"b":2}]}', "expected a pair"),
+        ('{"vertices":["a","b"],"edges":[["a","b","a"]]}', "expected a pair"),
         ('{"vertices":["a","a"],"edges":[]}', "duplicate vertex"),
         ('{"vertices":"a"}', "vertices"),
         ('{"vertices":["a"],"edges":[],"extra":1}', "unexpected"),
@@ -527,67 +529,6 @@ def test_cache_leaves_equality_and_hash_alone():
     assert b._cache is not None and c._cache is None
     assert b == c and hash(b) == hash(c) and repr(b) == repr(c)
     assert len({b, c}) == 1
-
-
-# -- separating cliques -----------------------------------------------------------
-
-
-def test_separator_p3(p3):
-    assert find_separating_clique(p3, ["a"], ["c"]) == ("b",)
-
-
-def test_separator_two_triangles(tt):
-    assert find_separating_clique(tt, ["w1"], ["w2"]) == ("v1", "v2")
-
-
-def test_separator_precondition_errors(p3, c4):
-    with pytest.raises(InvalidInput):
-        find_separating_clique(p3, ["a"], ["b"])  # adjacent
-    with pytest.raises(InvalidInput):
-        find_separating_clique(p3, ["a"], ["a"])  # intersect
-    with pytest.raises(InvalidInput):
-        find_separating_clique(p3, [], ["a"])
-    with pytest.raises(NotChordalError):
-        find_separating_clique(c4, ["a"], ["c"])
-    with pytest.raises(DisconnectedError):
-        find_separating_clique(FlagComplex(["a", "b", "c"], [("a", "b")]), ["a"], ["c"])
-
-
-def test_separator_adjacency_error_names_the_first_pair_in_declaration_order():
-    L = FlagComplex(list("abcd"), [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("b", "d")])
-    for k0, k1 in ((["a", "d"], ["b", "c"]), (["d", "a"], ["c", "b"])):
-        with pytest.raises(InvalidInput) as info:
-            find_separating_clique(L, k0, k1)
-        assert info.value.detail == "endpoints are adjacent via 'a'-'b'"
-
-
-def test_separator_that_is_no_clique_names_itself():
-    p5 = FlagComplex(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
-    with pytest.raises(NoCliqueSeparatorError) as info:
-        find_separating_clique(p5, ["a", "e"], ["c"])
-    assert info.value.payload()["separator"] == ["b", "d"]
-
-
-def test_separator_properties_on_random_chordal():
-    found = 0
-    for seed in range(40):
-        L = random_chordal(9, seed)
-        pairs = [
-            (a, b)
-            for i, a in enumerate(L.vertices)
-            for b in L.vertices[i + 1 :]
-            if not L.has_edge(a, b)
-        ]
-        if not pairs:
-            continue
-        a, b = pairs[seed % len(pairs)]
-        sep = find_separating_clique(L, [a], [b])
-        found += 1
-        assert is_clique(L, sep)
-        assert separates(L, sep, [a], [b])
-        for s in sep:  # inclusion-minimal
-            assert not separates(L, set(sep) - {s}, [a], [b])
-    assert found >= 10
 
 
 # -- clique trees -------------------------------------------------------------------
