@@ -43,7 +43,9 @@ def _emit(doc, compact: bool):
 
 def _read(path, what):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # hide a JSON document's opening bracket.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
@@ -102,8 +104,17 @@ def _cmd_split(args):
     return doc
 
 
+def _refuse(args, dests, mode):
+    """A usage error naming the first flag in ``dests`` that was given,
+    since ``mode`` would ignore it."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise _Usage(f"--{dest.replace('_', '-')} has no effect with {mode}")
+
+
 def _cmd_verify(args):
     if args.suite:
+        _refuse(args, ("complex", "char"), "verify --suite")
         config = {}
         if args.config is not None:
             config = load_json(_read(args.config, "suite config"), "suite config: ")
@@ -120,6 +131,7 @@ def _cmd_verify(args):
         return report, (0 if report["ok"] else DOMAIN_EXIT)
     if args.complex is None or args.char is None:
         raise _Usage("verify needs --suite or both --complex and --char")
+    _refuse(args, ("samples", "max_n", "seed", "config"), "verify --complex/--char")
     L = _load_complex(args)
     phi = _load_character(args)
     return cross_check(L, phi).to_json_doc()
@@ -208,6 +220,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = _build_parser().parse_args(argv)
         outcome = args.handler(args)
@@ -218,7 +231,9 @@ def main(argv=None) -> int:
         _emit(doc, args.compact)
         return code
     except _Usage as exc:
-        _emit({"error": {"kind": "usage", "detail": str(exc)}}, compact=False)
+        # argparse's own errors come before ``args`` exists.
+        compact = args is not None and args.compact
+        _emit({"error": {"kind": "usage", "detail": str(exc)}}, compact=compact)
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except RaagError as exc:

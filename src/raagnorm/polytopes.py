@@ -52,6 +52,10 @@ def _primitive(pairs):
     return tuple([(i, x // signed) for i, x in pairs]), g
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class ZonotopeElement:
     """Formal difference of zonotopes over a fixed ambient vertex order.
 
@@ -60,7 +64,8 @@ class ZonotopeElement:
     integer coefficients: a direction is the tuple of its nonzero
     ``(position, value)`` pairs in position order, primitive and with a
     positive leading value. The constructor takes dense generators
-    (``(vector, coeff)`` with vectors of length ``len(ambient)``).
+    (``(vector, coeff)`` with vectors of length ``len(ambient)``) of
+    ``int`` entries; any other entry, a ``bool`` too, raises ``ParseError``.
 
     ``coeffs`` is a read-only dense view, built on each read: primitive
     sign-canonical direction tuples of length ``len(ambient)``, in sorted
@@ -73,8 +78,12 @@ class ZonotopeElement:
         self.ambient = tuple(ambient)
         n = len(self.ambient)
         terms = {}
-        for vec, coeff in generators:
-            vec = [int(x) for x in vec]
+        for pos, (vec, coeff) in enumerate(generators):
+            vec = tuple(vec)
+            if not _is_int(coeff):
+                raise ParseError(f"generators[{pos}]: coeff must be an integer")
+            if not all(map(_is_int, vec)):
+                raise ParseError(f"generators[{pos}]: dir must be integer coordinates")
             if len(vec) != n:
                 raise AmbientMismatchError(
                     f"direction of length {len(vec)} in an ambient of rank {n}"
@@ -83,7 +92,7 @@ class ZonotopeElement:
             if canon is None:
                 continue
             direction, mult = canon
-            terms[direction] = terms.get(direction, 0) + mult * int(coeff)
+            terms[direction] = terms.get(direction, 0) + mult * coeff
         self._terms = {d: c for d, c in terms.items() if c != 0}
 
     @classmethod
@@ -173,13 +182,9 @@ class ZonotopeElement:
         for pos, g in enumerate(doc["generators"]):
             if not isinstance(g, dict) or set(g) != {"dir", "coeff"}:
                 raise ParseError(f"generators[{pos}]: expected dir and coeff")
-            if not isinstance(g["coeff"], int) or isinstance(g["coeff"], bool):
-                raise ParseError(f"generators[{pos}]: coeff must be an integer")
-            if not isinstance(g["dir"], list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in g["dir"]
-            ):
+            if not isinstance(g["dir"], list):
                 raise ParseError(f"generators[{pos}]: dir must be integer coordinates")
-            gens.append((tuple(g["dir"]), g["coeff"]))
+            gens.append((g["dir"], g["coeff"]))
         return cls(ambient, gens)
 
 

@@ -308,6 +308,62 @@ def test_verify_usage_error(capsys):
     assert json.loads(out)["error"]["kind"] == "usage"
 
 
+def test_usage_error_after_parsing_honours_compact(files, capsys):
+    code, out = run(capsys, "--compact", "verify", "--complex", files("p3.json", P3))
+    assert code == 2
+    assert out == (
+        '{"error":{"detail":"verify needs --suite or both --complex and --char","kind":"usage"}}\n'
+    )
+    # argparse's own errors come before the flags are read: indented.
+    code, out = run(capsys, "--compact", "norm")
+    assert code == 2 and out.startswith("{\n")
+
+
+@pytest.mark.parametrize(
+    "mode, extra, flag",
+    [
+        ("suite", ["--complex", "p3.json"], "--complex"),
+        ("suite", ["--char", "phi.json"], "--char"),
+        ("case", ["--samples", "3"], "--samples"),
+        ("case", ["--max-n", "3"], "--max-n"),
+        ("case", ["--seed", "0"], "--seed"),
+        ("case", ["--config", "cfg.json"], "--config"),
+    ],
+    ids=["suite_complex", "suite_char", "case_samples", "case_max_n", "case_seed", "case_config"],
+)
+def test_verify_flag_the_mode_ignores_is_a_usage_error(files, capsys, mode, extra, flag):
+    paths = {
+        "p3.json": files("p3.json", P3),
+        "phi.json": files("phi.json", PHI111),
+        "cfg.json": files("cfg.json", '{"samples": 4}'),
+    }
+    argv = ["verify"] + [paths.get(x, x) for x in extra]
+    if mode == "suite":
+        argv.append("--suite")
+    else:
+        argv += ["--complex", paths["p3.json"], "--char", paths["phi.json"]]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "usage" and error["detail"].startswith(flag + " ")
+
+
+@pytest.mark.parametrize("case", ["json_complex", "edge_list", "character", "config"])
+def test_byte_order_mark_reads_as_its_twin_without_one(files, tmp_path, capsys, case):
+    p3 = files("p3.json", P3)
+    argv, text = {
+        "json_complex": (["--compact", "analyze", "--complex"], P3),
+        "edge_list": (["--compact", "analyze", "--complex"], "a b\nb c\n"),
+        "character": (["norm", "--complex", p3, "--char"], PHI111),
+        "config": (["verify", "--suite", "--config"], '{"samples": 4, "max_n": 5, "seed": 2}'),
+    }[case]
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    twin = run(capsys, *argv, files("plain.txt", text))
+    assert twin[0] == 0
+    assert run(capsys, *argv, str(bom)) == twin
+
+
 def test_parse_error_exit_two(files, capsys):
     code, out = run(
         capsys,

@@ -116,6 +116,22 @@ def test_zonotope_doc_that_is_not_a_list_is_a_parse_error(doc):
     assert caught.value.kind == "parse"
 
 
+@pytest.mark.parametrize(
+    "generator, field",
+    [
+        (((0.5, 1, 0), 1), "dir"),
+        (((1, 0, 0), 2.9), "coeff"),
+        (((1, 0, 0), Fraction(7, 2)), "coeff"),
+        ((("3", True, 0), 1), "dir"),
+    ],
+    ids=["half_coordinate", "float_coeff", "fraction_coeff", "string_and_bool_coordinates"],
+)
+def test_zonotope_entries_that_are_not_ints_are_parse_errors(generator, field):
+    with pytest.raises(ParseError) as caught:
+        ZonotopeElement(AMBIENT, [generator])
+    assert caught.value.detail.startswith(f"generators[0]: {field} ")
+
+
 # -- thickness -------------------------------------------------------------------
 
 

@@ -112,6 +112,17 @@ def test_two_clique_counts_charge_the_simplex_budget():
     assert callers == {"complexes._clique_walk", "l2._link_f_vector"}
 
 
+def test_one_echelon_loop_over_built_rows():
+    """``rank_sparse_int`` and the boundary reduction share one echelon loop,
+    which takes rows already built. A second rank kernel, or a callback that
+    builds rows inside the loop, shows up here."""
+    assert list(inspect.signature(raagnorm.homology._echelon).parameters) == ["rows"]
+    callers = set()
+    for module in MODULES:
+        callers |= _callers(ast.parse(module.read_text()), "_echelon", module.stem)
+    assert callers == {"homology._pivots", "homology._reduced_betti"}
+
+
 def test_exports_no_module_references():
     """Exported names that no module of ``src/raagnorm`` other than
     ``__init__`` names. Each one stays for a reason; a new one shows up here
