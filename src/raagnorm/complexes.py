@@ -10,6 +10,8 @@ order, witness normalization.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import chain
 
 from ._record import Record
 from .errors import (
@@ -50,16 +52,16 @@ class FlagComplex:
     adjacency as it attaches vertices. These invariants are computed on
     first use and kept on the instance: the chordality witness, the
     component vertex sets, the cut ranks, the maximal cliques with a clique
-    tree, the f-vector (simplex count per dimension), the reduced Betti
-    numbers from the core (:func:`raagnorm.homology.reduced_betti`), and
-    for every vertex link its Euler characteristic and its reduced Betti
-    numbers from its core (:func:`raagnorm.homology.link_betti`). One walk
-    of the simplices that builds none of them (:func:`_clique_walk`)
-    records the f-vector whenever it runs; it serves :meth:`f_vector`,
-    :meth:`simplices_by_dim` and the star count of the link Euler
-    characteristics (:func:`raagnorm.homology.link_euler`). A link built by
-    :func:`raagnorm.l2.l2_euler_kernel` keeps the f-vector that path counts
-    for it. Only results are kept, never the simplex lists or the cores.
+    tree, the f-vector (simplex count per dimension), the star pass
+    (:func:`_stars`: each vertex link's Euler characteristic and the largest
+    clique through each vertex), the reduced Betti numbers from the core
+    (:func:`raagnorm.homology.reduced_betti`) and those of every vertex link
+    (:func:`raagnorm.homology.link_betti`). One walk of the simplices that
+    builds none of them (:func:`_clique_walk`) serves the star pass and
+    :meth:`simplices_by_dim`, and records the f-vector whenever it runs. A
+    link built by :func:`raagnorm.l2.l2_euler_kernel` keeps the f-vector
+    that path counts for it. Only results are kept, never the simplex lists
+    or the cores.
     The cache takes no part in equality, hashing or ``repr``.
     """
 
@@ -275,16 +277,13 @@ class FlagComplex:
     def f_vector(self):
         """Number of simplices in each dimension, from dimension 0 up.
 
-        Recorded by every walk of the simplices (:func:`_clique_walk`), so
-        by :meth:`simplices_by_dim` and
-        :func:`raagnorm.homology.link_euler` too. When none has run yet, a
-        walk is drained: each level is counted from the candidate lists of
-        the level below, and no simplex is built.
+        Recorded by every walk of the simplices (:func:`_clique_walk`). When
+        none has run yet, the star pass (:func:`_stars`) runs one, which
+        counts each level from the candidate lists and builds no simplex.
         """
         memo = self._memo()
         if "f_vector" not in memo:
-            for _ in _clique_walk(self):
-                pass
+            _stars(self)
         return memo["f_vector"]
 
 
@@ -347,6 +346,62 @@ def _clique_walk(K):
                     add_cand(child)
         cands = nxt
     K._memo()["f_vector"] = tuple(counts)
+
+
+def _stars(K):
+    """Two dicts, kept on ``K``: each vertex's star count, which is the group
+    Euler characteristic of its link, and the size of the largest clique
+    through it.
+
+    The (d-1)-simplices of the link of ``v`` are the d-simplices through
+    ``v``, and a simplex holds ``v`` exactly when a node on its path from
+    the root of the walk's tree (:func:`_clique_walk`) ends in ``v``, so
+    both are read off the subtrees of the nodes ending in ``v``.
+    """
+    return K._cached("stars", _star_pass)
+
+
+def _star_pass(K):
+    """Drain the walk of ``K`` once (it records the f-vector). Each node's
+    own sign and size go to its last vertex, tallied per level; a node with
+    children is kept with its last vertex, its parent's place and its
+    children's signed count, and :func:`_fold` adds the rest."""
+    chi = dict.fromkeys(K.vertices, 1)
+    size = dict.fromkeys(K.vertices, 1)
+    levels = []
+    sign = 1
+    for k, (lasts, parents, cands) in enumerate(_clique_walk(K), 2):
+        sign = -sign
+        levels.append((lasts, parents, [sign * len(c) for c in cands]))
+        for w, n in Counter(chain.from_iterable(cands)).items():
+            chi[w] += sign * n
+            size[w] = k  # the levels grow, so this is the largest yet
+    _fold(levels, chi, size)
+    return chi, size
+
+
+def _fold(levels, chi, size):
+    """From the top level down, add the signed count of each node kept in
+    ``levels`` to its last vertex and to its parent's count, and raise the
+    size kept for its last vertex and for its parent to the largest clique
+    in its subtree. A node of ``levels[k]`` has children of size k + 2."""
+    if not levels:
+        return
+    deep = [len(levels) + 1] * len(levels[-1][0])
+    for k in range(len(levels) - 1, -1, -1):
+        lasts, parents, below = levels[k]
+        for v, b, d in zip(lasts, below, deep):
+            chi[v] += b
+            if size[v] < d:
+                size[v] = d
+        if k:
+            up = levels[k - 1][2]
+            high = [k + 1] * len(up)
+            for p, b, d in zip(parents, below, deep):
+                up[p] += b
+                if high[p] < d:
+                    high[p] = d
+            deep = high
 
 
 def _component_vertex_sets(L, vs=None):
@@ -631,10 +686,16 @@ def _canonical_cycle(L, cycle):
     return tuple(fwd if L.index(fwd[1]) <= L.index(bwd[1]) else bwd)
 
 
-def _shortest_avoiding_path(L, a, b, forbidden):
-    """BFS shortest a-b path avoiding ``forbidden``; None if disconnected."""
-    if a in forbidden or b in forbidden:
-        return None
+def _find_hole(L, triple):
+    """Induced cycle through a-center-b, for the triple (center, a, b) that
+    failed the elimination check.
+
+    A shortest a-b path outside N[center] (except at its ends), found by
+    breadth-first search, is chordless, so closing it through the center
+    gives a hole.
+    """
+    center, a, b = triple
+    forbidden = (L._adj[center] | {center}) - {a, b}
     parent = {a: None}
     queue = [a]
     while queue:
@@ -645,43 +706,13 @@ def _shortest_avoiding_path(L, a, b, forbidden):
                     continue
                 parent[w] = u
                 if w == b:
-                    path = [b]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return list(reversed(path))
+                    cycle = [center]
+                    while w is not None:
+                        cycle.append(w)
+                        w = parent[w]
+                    return _canonical_cycle(L, cycle)
                 nxt.append(w)
         queue = nxt
-    return None
-
-
-def _hole_from_triple(L, center, a, b):
-    """Induced cycle through a-center-b, or None.
-
-    A shortest a-b path outside N[center] (except at its ends) is chordless,
-    so closing it through the center gives a hole.
-    """
-    forbidden = (set(L._adj[center]) | {center}) - {a, b}
-    path = _shortest_avoiding_path(L, a, b, forbidden)
-    if path is None:
-        return None
-    return _canonical_cycle(L, [center] + path)
-
-
-def _find_hole(L, hint=None):
-    if hint is not None:
-        center, a, b = hint
-        cycle = _hole_from_triple(L, center, a, b)
-        if cycle is not None:
-            return cycle
-    for center in L.vertices:
-        nbrs = L.neighbors(center)
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                if b in L._adj[a]:
-                    continue
-                cycle = _hole_from_triple(L, center, a, b)
-                if cycle is not None:
-                    return cycle
     raise AssertionError("no induced cycle found despite failed elimination order")
 
 
@@ -701,7 +732,7 @@ def _chordality(L):
     bad = _peo_violation(L, peo)
     if bad is None:
         return ChordalityWitness(True, peo=peo)
-    return ChordalityWitness(False, bad_cycle=_find_hole(L, hint=bad))
+    return ChordalityWitness(False, bad_cycle=_find_hole(L, bad))
 
 
 def require_chordal(L: FlagComplex) -> ChordalityWitness:

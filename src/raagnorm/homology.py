@@ -11,7 +11,7 @@ collapses to one vertex and a planted hole to about the hole; in 50
 ``dense_homology`` benchmark cases (seed 1801), 2210 of the 2450 cores are
 a single vertex and none has more than 8 vertices. The top dimension,
 which a core loses, comes from the f-vector for a complex and from the
-largest clique through each vertex for its links.
+largest clique through each vertex, found by the star pass, for its links.
 
 Ranks are exact: boundary matrices are integer matrices, reduced by
 echelon insertion on sparse integer rows (Edelsbrunner-Letscher-Zomorodian;
@@ -27,21 +27,23 @@ simplex has one index as a row and as a column, so the reduction does not
 depend on the order in which the levels list their simplices.
 
 Euler characteristics need counts alone. ``euler_raag`` reads the f-vector,
-and ``link_euler`` reads every vertex link's off one walk of the complex's
-simplices, a star count that builds no simplex tuple. It is the walk that
-counts the f-vector and lists the simplices for the boundary matrices
-(:func:`raagnorm.complexes._clique_walk`). The L2-Euler path
+and ``link_euler`` reads every vertex link's off the star pass
+(:func:`raagnorm.complexes._stars`), one walk of the complex's simplices
+that builds no simplex tuple, records the f-vector and also gives each
+link's top dimension for ``link_betti``. The L2-Euler path
 (:func:`raagnorm.l2.l2_euler_kernel`) counts its links its own way.
+
+Kept on each complex: the f-vector, the star pass, the reduced Betti
+numbers and those of every vertex link; never a simplex list or a core.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from math import gcd
 
 from ._record import Record
-from .complexes import FlagComplex, _clique_walk
+from .complexes import FlagComplex, _stars
 
 
 def rank_sparse_int(rows) -> int:
@@ -252,116 +254,29 @@ def link_euler(L: FlagComplex) -> dict:
     The (d-1)-simplices of the link of ``v`` are exactly the d-simplices of
     ``L`` through ``v``, so the link's group Euler characteristic is the sum
     over simplices containing ``v`` of (-1)^dim (the vertex itself counts
-    +1 for the empty simplex of the link). The walk
-    (:func:`raagnorm.complexes._clique_walk`) is the one behind
-    :meth:`FlagComplex.simplices_by_dim` and :meth:`FlagComplex.f_vector`:
-    it builds no simplex, charges the simplex budget and records the
-    f-vector of ``L``. Computed once per complex and kept on it; the caller
-    gets a copy.
+    +1 for the empty simplex of the link). The star pass
+    (:func:`raagnorm.complexes._stars`) counts them all at once, builds no
+    simplex and charges the simplex budget. Kept on ``L``; the caller gets a
+    copy.
     """
-    return dict(L._cached("link_euler", _link_euler))
-
-
-def _link_euler(L):
-    """The star count of every vertex of ``L``, from one walk of its
-    simplices (:func:`raagnorm.complexes._clique_walk`).
-
-    A simplex lies in the star of ``v`` exactly when a node on its path from
-    the root of the walk's tree ends in ``v``, so the star count of ``v`` is
-    the sum, over the nodes ending in ``v``, of the alternating count of
-    the node's subtree. A node's own sign goes to its last vertex as the
-    walk reaches it. For each node with children the walk yields its last
-    vertex and its parent's place in the level below; kept here with the
-    signed count of its subtree without itself, at first just its
-    children's signs. :func:`_fold` adds the rest, from the top level down.
-    """
-    chi = dict.fromkeys(L.vertices, 1)
-    levels = []
-    sign = 1
-    for lasts, parents, cands in _clique_walk(L):
-        sign = -sign
-        levels.append((lasts, parents, [sign * len(c) for c in cands]))
-        for cand in cands:
-            for w in cand:
-                chi[w] += sign
-    _fold(levels, chi)
-    return chi
-
-
-def _fold(levels, chi):
-    """Add the subtree count of each node kept in ``levels`` to its last
-    vertex and to its parent's count, from the top level down."""
-    for k in range(len(levels) - 1, -1, -1):
-        lasts, parents, below = levels[k]
-        for v, b in zip(lasts, below):
-            chi[v] += b
-        if k:
-            up = levels[k - 1][2]
-            for p, b in zip(parents, below):
-                up[p] += b
+    return dict(_stars(L)[0])
 
 
 def link_betti(L: FlagComplex) -> dict:
     """``{v: reduced_betti(L.link(v))}`` for every vertex, each from the
     core of its link.
 
-    The f-vector of ``L`` charges the simplex budget first, so a complex
-    over budget keeps nothing, as in :func:`reduced_betti`. Each link is
-    collapsed on ``L``'s adjacency restricted to the neighbours of ``v``
-    (:func:`_core`); no link is built, only its core. Its top dimension is
-    the size of the largest clique through ``v`` minus two
-    (:func:`_largest_cliques`). Computed once per complex and kept on it;
-    the caller gets a copy.
+    The star pass (:func:`raagnorm.complexes._stars`) charges the simplex
+    budget first, so a complex over budget keeps nothing, as in
+    :func:`reduced_betti`, and gives the largest clique through ``v``,
+    whose size minus two is the link's top dimension. Each link is collapsed
+    on ``L``'s adjacency restricted to the neighbours of ``v`` (:func:`_core`);
+    no link is built, only its core. Kept on ``L``; the caller gets a copy.
     """
     return dict(L._cached("link_betti", _link_betti))
 
 
 def _link_betti(L):
-    L.f_vector()  # charges the budget before anything is built
-    size = _largest_cliques(L)
+    size = _stars(L)[1]
     adj = L._adj
     return {v: _core_betti(L, adj[v], size[v] - 2) for v in L.vertices}
-
-
-def _largest_cliques(L):
-    """Size of the largest clique through each vertex of ``L``.
-
-    One Bron-Kerbosch pass with Tomita pivoting lists every maximal clique
-    once, from its first vertex in declaration order, and each one raises
-    the size kept for its vertices. Each call of the search holds a
-    distinct clique, so there are at most as many calls as simplices.
-    """
-    adj = L._adj
-    size = dict.fromkeys(L.vertices, 1)
-    clique = []
-
-    # ``cand`` can extend ``clique``; ``done`` could, but was tried already.
-    def extend(cand, done):
-        if not cand:
-            if not done:
-                k = len(clique)
-                for w in clique:
-                    if size[w] < k:
-                        size[w] = k
-            return
-        most = -1
-        for u in chain(cand, done):
-            common = len(cand & adj[u])
-            if common > most:
-                most, pivot = common, u
-        for w in cand - adj[pivot]:
-            near = adj[w]
-            clique.append(w)
-            extend(cand & near, done & near)
-            clique.pop()
-            cand.remove(w)
-            done.add(w)
-
-    earlier = set()
-    for v in L.vertices:
-        near = adj[v]
-        clique.append(v)
-        extend(near - earlier, near & earlier)
-        clique.pop()
-        earlier.add(v)
-    return size

@@ -140,10 +140,30 @@ def _vertex_list(doc, key):
     return tuple(value)
 
 
+def _known_keys(doc, keys, where):
+    """A :class:`ParseError` unless ``doc`` is an object with only ``keys``."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected an object")
+    extra = set(doc) - set(keys)
+    if extra:
+        raise ParseError(f"{where}: unexpected keys {sorted(extra)}")
+
+
+_DESCRIPTOR_KEYS = {
+    "parabolic": ("vertices",),
+    "block_kernel": ("block", "k", "chi"),
+    "trivial": (),
+    "amalgam": ("parts", "edge_groups"),
+}
+
+
 def descriptor_from_json(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("descriptor must be an object with a kind")
     kind = doc["kind"]
+    if kind not in _DESCRIPTOR_KEYS:
+        raise ParseError(f"unknown descriptor kind {kind!r}")
+    _known_keys(doc, ("kind",) + _DESCRIPTOR_KEYS[kind], f"{kind} descriptor")
     if kind == "parabolic":
         return Parabolic(_vertex_list(doc, "vertices"))
     if kind == "block_kernel":
@@ -151,12 +171,10 @@ def descriptor_from_json(doc):
         return BlockKernel(_vertex_list(doc, "block"), _int_field(doc, "k"), chi)
     if kind == "trivial":
         return Trivial()
-    if kind == "amalgam":
-        return Amalgam(
-            tuple(descriptor_from_json(p) for p in doc["parts"]),
-            tuple(descriptor_from_json(e) for e in doc["edge_groups"]),
-        )
-    raise ParseError(f"unknown descriptor kind {kind!r}")
+    return Amalgam(
+        tuple(descriptor_from_json(p) for p in doc["parts"]),
+        tuple(descriptor_from_json(e) for e in doc["edge_groups"]),
+    )
 
 
 # -- graphs of groups ------------------------------------------------------------
@@ -178,6 +196,7 @@ class GogEdge(Record):
 
 
 _INCLUSIONS = ("parabolic", "kernel", "trivial")
+_EDGE_KEYS = ("source", "target", "group", "inclusion", "tree", "phi_t")
 
 
 class GraphOfGroups:
@@ -274,14 +293,18 @@ class GraphOfGroups:
         if not isinstance(doc, dict):
             raise ParseError("graph-of-groups document must be an object")
         try:
+            _known_keys(doc, ("complex", "vertices", "edges", "character"), "top level")
             L = complex_from_json_doc(doc["complex"])
             vertex_groups = [descriptor_from_json(g) for g in doc["vertices"]]
             edges = []
             tree = set()
             letters = {}
             for i, e in enumerate(doc["edges"]):
+                _known_keys(e, _EDGE_KEYS, f"edges[{i}]")
                 if e["inclusion"] not in _INCLUSIONS:
                     raise ParseError(f"edges[{i}].inclusion must be one of {_INCLUSIONS}")
+                if not isinstance(e.get("tree", False), bool):
+                    raise ParseError(f"edges[{i}].tree must be true or false")
                 edges.append(
                     GogEdge(
                         _int_field(e, "source"),

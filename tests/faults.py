@@ -43,21 +43,23 @@ def open_neighbourhood_domination(original):
 
 
 def link_top_dim_plus_one(original):
-    """Every vertex's largest clique one larger, so every link's top
-    dimension is one too high."""
+    """The star pass gives every vertex's largest clique one larger, so
+    every link's top dimension is one too high."""
 
-    def largest_cliques(L):
-        return {v: k + 1 for v, k in original(L).items()}
+    def star_pass(K):
+        chi, size = original(K)
+        return chi, {v: k + 1 for v, k in size.items()}
 
-    return largest_cliques
+    return star_pass
 
 
 def star_fold_drops_high_levels(original):
-    """The star fold stops at level 4: the subtree counts of simplices of
-    dimension 4 and up never reach the vertices of their proper faces."""
+    """The star fold stops at level 4: the subtree counts and sizes of
+    simplices of dimension 4 and up never reach the vertices of their proper
+    faces."""
 
-    def fold(levels, chi):
-        original(levels[:4], chi)
+    def fold(levels, chi, size):
+        original(levels[:4], chi, size)
 
     return fold
 
@@ -76,7 +78,7 @@ def link_counter_flips_high_dimensions(original):
 def walk_drops_last_candidates(original):
     """From dimension 3 up, the clique walk loses the last candidate of each
     list, so every simplex ending there goes missing: from the recorded
-    f-vector, from each simplex list and from each star count. A last
+    f-vector, from each simplex list and from the star pass. A last
     candidate has no children, so no simplex above it is lost."""
 
     def clique_walk(K):
@@ -114,18 +116,21 @@ FAULTS = {
         oracles=["test_homology::test_link_betti_matches_each_link"],
     ),
     "link_top_dim_plus_one": Fault(
-        (homology,),
-        "_largest_cliques",
+        (complexes,),
+        "_star_pass",
         link_top_dim_plus_one,
         suite={"contractibility_and_cut_rank": 54},
         oracles=["test_homology::test_link_betti_matches_each_link"],
     ),
     "star_fold_drops_high_levels": Fault(
-        (homology,),
+        (complexes,),
         "_fold",
         star_fold_drops_high_levels,
-        suite={"main_equality": 1},
-        oracles=["test_homology::test_link_euler_matches_each_link"],
+        suite={"main_equality": 1, "contractibility_and_cut_rank": 1},
+        oracles=[
+            "test_homology::test_link_euler_matches_each_link",
+            "test_homology::test_link_betti_matches_each_link",
+        ],
     ),
     "link_counter_flips_high_dimensions": Fault(
         (l2,),
@@ -135,10 +140,10 @@ FAULTS = {
         oracles=["test_l2::test_kernel_euler_two_code_paths_agree"],
     ),
     "walk_drops_last_candidates": Fault(
-        (complexes, homology),
+        (complexes,),
         "_clique_walk",
         walk_drops_last_candidates,
-        suite={"main_equality": 24, "euler_bookkeeping": 9},
+        suite={"main_equality": 24, "contractibility_and_cut_rank": 25, "euler_bookkeeping": 9},
         oracles=[
             "test_complexes::test_simplices_by_dim_matches_bruteforce",
             "test_homology::test_link_euler_and_the_link_counter_match_brute_force",

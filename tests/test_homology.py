@@ -221,7 +221,7 @@ def test_betti_is_kept_on_the_complex():
     assert len({L, twin}) == 1
     assert reduced_betti(twin) == rb and reduced_betti(twin) is not rb
     # results only: no simplex level stays on the complex
-    assert set(L._cache) == {"f_vector", "reduced_betti"}
+    assert set(L._cache) == {"f_vector", "stars", "reduced_betti"}
 
 
 def test_one_enumeration_serves_betti_group_betti_and_euler(monkeypatch):
@@ -264,7 +264,8 @@ def test_euler_raag_on_a_fresh_complex_counts_simplices():
         twin = FlagComplex(L.vertices, L.edges())
         levels = twin.simplices_by_dim()
         assert euler_raag(L) == 1 - sum((-1) ** d * len(lv) for d, lv in enumerate(levels))
-        assert set(L._cache) == {"f_vector"}
+        # results only: the counts, never a simplex level
+        assert set(L._cache) == {"f_vector", "stars"}
 
 
 # -- reduced Betti numbers --------------------------------------------------------
@@ -473,7 +474,7 @@ def test_link_euler_matches_each_link():
 
 def test_link_euler_is_one_kept_enumeration(monkeypatch):
     walked = []
-    original = homology._link_euler
+    original = complexes._star_pass
 
     def counted(K):
         walked.append(K)
@@ -484,7 +485,7 @@ def test_link_euler_is_one_kept_enumeration(monkeypatch):
 
     L = plant_cycle(random_chordal(12, 9), 5, "h")
     want = {v: euler_raag(L.link(v)) for v in L.vertices}
-    monkeypatch.setattr(homology, "_link_euler", counted)
+    monkeypatch.setattr(complexes, "_star_pass", counted)
     monkeypatch.setattr(FlagComplex, "simplices_by_dim", refuse)
     chi = link_euler(L)
     # The walk records the f-vector, so euler_raag(L) needs no second walk.
@@ -493,7 +494,28 @@ def test_link_euler_is_one_kept_enumeration(monkeypatch):
     assert link_euler(L) == want
     assert euler_raag(L) == 1 - sum((-1) ** d * f for d, f in enumerate(L.f_vector()))
     assert sum(K is L for K in walked) == 1 and len(walked) == 1
-    assert set(L._cache) == {"link_euler", "f_vector"}
+    # results only: no simplex level stays on the complex
+    assert set(L._cache) == {"stars", "f_vector"}
+
+
+def test_f_vector_link_euler_and_link_betti_share_one_walk(monkeypatch):
+    walks = []
+    original = complexes._clique_walk
+
+    def counted(K):
+        walks.append(K)
+        return original(K)
+
+    L = suspension(plant_cycle(random_chordal(12, 9), 5, "h"))
+    want = tuple(map(len, brute_simplices_by_dim(L)))
+    monkeypatch.setattr(complexes, "_clique_walk", counted)
+    assert L.f_vector() == want
+    assert link_euler(L) == {v: euler_raag(L.link(v)) for v in L.vertices}
+    betti = link_betti(L)
+    # Each link core that is reduced is walked by simplices_by_dim; L once.
+    assert [K for K in walks if K is L] == [L]
+    monkeypatch.setattr(complexes, "_clique_walk", original)
+    assert betti == {v: reduced_betti(L.link(v)) for v in L.vertices}
 
 
 def assert_both_link_routes_match(L, counts):

@@ -104,12 +104,23 @@ def _callers(tree, name, prefix):
 
 def test_two_clique_counts_charge_the_simplex_budget():
     """One walk of the cliques serves ``f_vector``, ``simplices_by_dim`` and
-    the star count of ``link_euler``; the L2 path counts small links over
+    the star pass of ``link_euler``; the L2 path counts small links over
     bit masks. A third count that charges the budget shows up here."""
     callers = set()
     for module in MODULES:
         callers |= _callers(ast.parse(module.read_text()), "_check_budget", module.stem)
     assert callers == {"complexes._clique_walk", "l2._link_f_vector"}
+
+
+def test_one_star_pass_and_the_simplex_lists_read_the_clique_walk():
+    """The star pass serves ``f_vector``, ``link_euler`` and the links' top
+    dimensions of ``link_betti``; ``simplices_by_dim`` builds the cores'
+    simplices. A second reader of the walk, such as a separate clique
+    search, shows up here."""
+    callers = set()
+    for module in MODULES:
+        callers |= _callers(ast.parse(module.read_text()), "_clique_walk", module.stem)
+    assert callers == {"complexes._star_pass", "complexes.FlagComplex.simplices_by_dim"}
 
 
 def test_one_echelon_loop_over_built_rows():

@@ -476,6 +476,28 @@ def test_gog_from_malformed_json_doc_is_a_parse_error(p3, phi101, spoil):
         GraphOfGroups.from_json_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "spoil, named",
+    [
+        (lambda doc: doc["edges"][0].update(tree="false"), "tree"),
+        (lambda doc: doc["edges"][0].update(tree=1), "tree"),
+        (lambda doc: doc.update(note="x"), "'note'"),
+        (lambda doc: doc["edges"][0].update(weight=2), "'weight'"),
+        (lambda doc: doc["edges"][0].update(group={"kind": "trivial", "x": 1}), "'x'"),
+    ],
+    ids=["string_tree", "int_tree", "top_level_key", "edge_key", "descriptor_key"],
+)
+def test_gog_json_doc_tree_flags_and_keys_are_not_coerced(p3, spoil, named):
+    """Each spoiled document still holds a valid graph of groups if the
+    value is coerced or the key ignored; it must be a parse error that
+    names the field."""
+    doc = clique_tree_splitting(p3).to_json_doc()
+    assert doc["edges"][0]["tree"] is True
+    spoil(doc)
+    with pytest.raises(ParseError, match=named):
+        GraphOfGroups.from_json_doc(doc)
+
+
 # -- cyclic cover truncations ------------------------------------------------------------
 
 
