@@ -108,7 +108,11 @@ class Character:
     # -- arithmetic ----------------------------------------------------------
 
     def scale(self, q) -> "Character":
-        q = Fraction(q)
+        """``q`` times this character. A factor that is not a ``Fraction``
+        is read as a character value is, so a float or bool is a
+        :class:`ParseError`."""
+        if not isinstance(q, Fraction):
+            q = parse_rational(q, "scale factor")
         return Character({v: x * q for v, x in self._values.items()})
 
     def add(self, other: "Character") -> "Character":

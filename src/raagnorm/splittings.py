@@ -199,15 +199,22 @@ _INCLUSIONS = ("parabolic", "kernel", "trivial")
 _EDGE_KEYS = ("source", "target", "group", "inclusion", "tree", "phi_t")
 
 
-class GraphOfGroups:
+class GraphOfGroups(Record):
     """Finite graph with group descriptors on vertices and edges.
 
     ``tree_edges`` index a spanning tree; every positive edge outside it
     carries the character value of its stable letter in ``stable_letters``.
     ``character`` records the character a dual splitting was built against
-    (None for clique trees). Graphs of groups compare by value and are
-    unhashable.
+    (None for clique trees). The fields are normalised and validated; the
+    record is unhashable, since ``stable_letters`` is a dict.
     """
+
+    complex: FlagComplex
+    vertex_groups: tuple
+    edges: tuple
+    tree_edges: frozenset
+    stable_letters: dict
+    character: Character | None
 
     def __init__(
         self,
@@ -218,12 +225,14 @@ class GraphOfGroups:
         stable_letters=None,
         character=None,
     ):
-        self.complex = complex
-        self.vertex_groups = tuple(vertex_groups)
-        self.edges = tuple(edges)
-        self.tree_edges = frozenset(tree_edges)
-        self.stable_letters = dict(stable_letters or {})
-        self.character = character
+        super().__init__(
+            complex,
+            tuple(vertex_groups),
+            tuple(edges),
+            frozenset(tree_edges),
+            dict(stable_letters or {}),
+            character,
+        )
         self._validate()
 
     def _validate(self):
@@ -250,18 +259,6 @@ class GraphOfGroups:
     @property
     def single_vertex(self) -> bool:
         return len(self.vertex_groups) == 1
-
-    def __eq__(self, other):
-        if not isinstance(other, GraphOfGroups):
-            return NotImplemented
-        return (
-            self.complex == other.complex
-            and self.vertex_groups == other.vertex_groups
-            and self.edges == other.edges
-            and self.tree_edges == other.tree_edges
-            and self.stable_letters == other.stable_letters
-            and self.character == other.character
-        )
 
     def to_json_doc(self):
         edges = []
@@ -396,10 +393,12 @@ def living_blocks(L: FlagComplex, phi: Character) -> list:
 
 
 def _connected_dual(L, phi):
-    """One connected component's construction.
+    """One connected component's construction, for a character that is
+    nonzero somewhere on it.
 
-    Returns (vertex descriptor, loops, block rows, tree certificate) where
-    loops is a list of (BlockKernel, stable letter value).
+    Returns (vertex descriptor, block kernels, tree certificate): one
+    :class:`BlockKernel` per living block, in block order, which is both a
+    part of the vertex descriptor and the edge group of the block's loop.
     """
     blocks = living_blocks(L, phi)
     living = {v for b in blocks for v in b}
@@ -411,22 +410,17 @@ def _connected_dual(L, phi):
         {"role": "block_neighborhood", "block": list(b), "vertices": list(h)}
         for b, h in zip(blocks, hoods)
     ]
-    node_labels += [
-        {"role": "complement", "vertices": list(c)} for c in complements
-    ]
-    # Each dead vertex carries the index of its complement, so a hood meets
-    # exactly the complements its dead vertices name.
+    node_labels += [{"role": "complement", "vertices": list(c)} for c in complements]
+    # The pieces of a hood are the components of its dead part. No edge
+    # joins two complements, so each piece lies in the complement that its
+    # first vertex names; a stable sort by that label keeps each
+    # complement's pieces in the order of their first vertices.
     label = {v: j for j, c in enumerate(complements) for v in c}
     bip_edges = []
     for i, hood in enumerate(hoods):
-        buckets = {}
-        for v in hood:
-            j = label.get(v)
-            if j is not None:
-                buckets.setdefault(j, []).append(v)
-        for j in sorted(buckets):
-            for piece in _component_vertex_sets(L, buckets[j]):
-                bip_edges.append((i, len(blocks) + j, piece))
+        pieces = _component_vertex_sets(L, [v for v in hood if v in label])
+        for piece in sorted(pieces, key=lambda p: label[p[0]]):
+            bip_edges.append((i, len(blocks) + label[piece[0]], piece))
     # Treeness is a theorem for chordal input; failure means a bug here.
     n_nodes = len(blocks) + len(complements)
     pairs = [(a, b) for a, b, _ in bip_edges]
@@ -454,21 +448,15 @@ def _connected_dual(L, phi):
     # N(v) lies in the block's neighbourhood, so the link of v there is its
     # link in L; one star count of L serves every block.
     link_chi = link_euler(L)
-    loops = []
-    rows = []
+    kernels = []
     for b in blocks:
         k = 0
         for v in b:
             k = math.gcd(k, abs(phi.value(v).numerator))
         weighted = sum(abs(phi.value(v).numerator) * link_chi[v] for v in b)
-        chi = Fraction(weighted, k)
-        group = BlockKernel(b, k, chi)
-        loops.append((group, Fraction(k)))
-        rows.append(BlockRow(b, k, chi, -k * chi))
+        kernels.append(BlockKernel(b, k, Fraction(weighted, k)))
 
-    parts = tuple(g for g, _ in loops) + tuple(
-        Parabolic(c) for c in complements
-    )
+    parts = tuple(kernels) + tuple(Parabolic(c) for c in complements)
     edge_groups = tuple(Parabolic(piece) for _, _, piece in bip_edges)
     if len(parts) == 1 and not edge_groups:
         vertex_descriptor = parts[0]
@@ -482,19 +470,21 @@ def _connected_dual(L, phi):
         ],
         "is_tree": True,
     }
-    return vertex_descriptor, loops, rows, certificate
+    return vertex_descriptor, kernels, certificate
 
 
 def dual_splitting(L: FlagComplex, phi: Character):
     """Single-vertex splitting dual to ``phi`` realizing the closed-form
     complexity, together with its report.
 
-    Connected case: living blocks become HNN loops over the kernels of the
-    character restricted to their one-neighborhood groups; complement
-    components and the intersection tree are collapsed into the vertex.
-    Disconnected case: components are processed separately (a component on
-    which the character vanishes stays a parabolic part) and joined through
-    a trivial hub before the collapse.
+    Each living block of each component becomes an HNN loop over the kernel
+    of the character restricted to the block's one-neighborhood group; its
+    stable letter takes the value k, the gcd of the character on the
+    block, and its report row is (block, k, chi, -k * chi). Complement
+    components and the intersection tree are collapsed into the vertex. A
+    component on which the character vanishes stays a parabolic part and
+    is never walked. Several components are joined through a trivial hub
+    before the collapse, and each certificate names its component.
 
     For a connected chordal complex on at least two vertices the returned
     complexity is exactly the splitting complexity along ``phi``; on every
@@ -506,41 +496,31 @@ def dual_splitting(L: FlagComplex, phi: Character):
     require_chordal(L)
 
     components = L.components()
-    if len(components) == 1:
-        vertex_descriptor, loops, rows, certificate = _connected_dual(L, phi)
-    else:
-        parts = []
-        loops = []
-        rows = []
-        sub_certs = []
-        for comp in components:
-            phic = phi.restrict(comp.vertices)
-            if phic.is_zero:
-                parts.append(Parabolic(comp.vertices))
-                sub_certs.append(
-                    {"component": list(comp.vertices), "dead": True}
-                )
-            else:
-                vdesc, comp_loops, comp_rows, cert = _connected_dual(comp, phic)
-                parts.append(vdesc)
-                loops.extend(comp_loops)
-                rows.extend(comp_rows)
-                cert["component"] = list(comp.vertices)
-                sub_certs.append(cert)
-        parts.append(Trivial())
+    several = len(components) > 1
+    parts, kernels, certificates = [], [], []
+    for comp in components:
+        phic = phi.restrict(comp.vertices) if several else phi
+        if phic.is_zero:
+            parts.append(Parabolic(comp.vertices))
+            certificates.append({"component": list(comp.vertices), "dead": True})
+            continue
+        vertex_descriptor, comp_kernels, certificate = _connected_dual(comp, phic)
+        parts.append(vertex_descriptor)
+        kernels.extend(comp_kernels)
+        if several:
+            certificate["component"] = list(comp.vertices)
+        certificates.append(certificate)
+    if several:
         edge_groups = tuple(Trivial() for _ in components)
-        vertex_descriptor = Amalgam(tuple(parts), edge_groups)
-        certificate = {"components": sub_certs, "is_tree": True}
+        vertex_descriptor = Amalgam(tuple(parts) + (Trivial(),), edge_groups)
+        certificate = {"components": certificates, "is_tree": True}
 
-    edges = [GogEdge(0, 0, group, "kernel") for group, _ in loops]
-    letters = {i: value for i, (_, value) in enumerate(loops)}
-    gog = GraphOfGroups(
-        L, [vertex_descriptor], edges, tree_edges=(), stable_letters=letters,
-        character=phi,
-    )
+    edges = [GogEdge(0, 0, g, "kernel") for g in kernels]
+    letters = {i: Fraction(g.k) for i, g in enumerate(kernels)}
+    gog = GraphOfGroups(L, [vertex_descriptor], edges, (), letters, phi)
+    rows = tuple(BlockRow(g.block, g.k, g.chi, -g.k * g.chi) for g in kernels)
     complexity = sum((r.contribution for r in rows), start=Fraction(0))
-    report = SplittingReport(complexity, tuple(rows), certificate)
-    return gog, report
+    return gog, SplittingReport(complexity, rows, certificate)
 
 
 # -- complexity --------------------------------------------------------------------
@@ -627,8 +607,8 @@ def cyclic_cover_truncation(gog: GraphOfGroups, phi: Character, k: int) -> Cover
     """
     if not gog.single_vertex:
         raise SplittingError("truncation is defined for single-vertex splittings")
-    if k < 0:
-        raise SplittingError("truncation level must be nonnegative")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise SplittingError("truncation level must be a nonnegative integer")
     if not gog.edges:
         raise SplittingError("truncation needs at least one stable letter")
     values = _stable_letter_values(gog, phi)

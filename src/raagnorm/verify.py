@@ -7,6 +7,7 @@ identical seeds give identical cases on every platform.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from fractions import Fraction
 
@@ -443,17 +444,33 @@ def check_seminorm_axioms(complexes, pairs, seed, min_n=2, max_n=12) -> CheckRes
     return result
 
 
+def _block_rows_agree(L, phi, report) -> bool:
+    """Each row of a dual splitting's report against independent values:
+    ``k`` is the gcd of |phi| on the block, and ``chi`` is the L2-Euler
+    characteristic of the kernel of phi / k on the block's neighbourhood,
+    counted by the L2 path (the links' mask counter, not the star pass)."""
+    for row in report.blocks:
+        k = math.gcd(*(phi.value(v).numerator for v in row.block))
+        hood = L.one_neighborhood(row.block)
+        kernel_chi = l2_euler_kernel(L.induced(hood), phi.restrict(hood).scale(Fraction(1, k)))
+        if row.k != k or row.chi != kernel_chi:
+            return False
+    return True
+
+
 def check_euler_bookkeeping(samples, seed, min_n=1, max_n=12) -> CheckResult:
     """euler_check equals the group Euler characteristic for clique trees,
-    dual splittings, and free-product wrappers."""
+    dual splittings, and free-product wrappers, and each block row of the
+    dual splitting carries its block's own k and kernel Euler
+    characteristic."""
     result = CheckResult("euler_bookkeeping")
     rng = SplitMix64(seed)
     for index in range(samples):
         L = _draw_complex(rng, min_n, max_n)
         case_ok = euler_check(clique_tree_splitting(L)) == euler_raag(L)
         phi = random_character(L, rng)
-        gog, _ = dual_splitting(L, phi)
-        if euler_check(gog) != euler_raag(L):
+        gog, report = dual_splitting(L, phi)
+        if euler_check(gog) != euler_raag(L) or not _block_rows_agree(L, phi, report):
             case_ok = False
         # free-product wrapper: disjoint union of this complex and a shifted copy
         other = _draw_complex(rng, 1, max_n)
@@ -488,6 +505,40 @@ def plant_cycle(L: FlagComplex, length: int, tag: str) -> FlagComplex:
     if L.vertices:
         edges.append((L.vertices[0], names[0]))
     return FlagComplex(vertices, edges)
+
+
+def plant_sphere(L: FlagComplex, d: int, tag: str) -> FlagComplex:
+    """Attach the boundary of the (d + 1)-dimensional cross-polytope, a flag
+    d-sphere, to the complex by a single connecting edge. Its vertices are
+    declared pair by pair, each pair the two ends of one axis, and every two
+    of them are adjacent except the two ends of an axis."""
+    names = [f"{tag}{i}{sign}" for i in range(d + 1) for sign in "+-"]
+    sphere_edges = [
+        (a, b) for i, a in enumerate(names) for b in names[i + 1 :] if a[:-1] != b[:-1]
+    ]
+    edges = L.edges() + sphere_edges
+    if L.vertices:
+        edges.append((L.vertices[0], names[0]))
+    return FlagComplex(list(L.vertices) + names, edges)
+
+
+def check_sphere_homology(samples, seed, min_n=1, max_n=12) -> CheckResult:
+    """A chordal complex with a planted d-sphere (d = 1, 2 or 3) has reduced
+    homology of rank 1 in dimension d and 0 elsewhere. The sphere's core
+    is itself, so unlike every chordal case this reduces boundary
+    matrices."""
+    result = CheckResult("sphere_homology")
+    rng = SplitMix64(seed)
+    for _ in range(samples):
+        base = _draw_complex(rng, min_n, max_n)
+        d = 1 + rng.below(3)
+        planted = plant_sphere(base, d, tag="s")
+        betti = reduced_betti(planted)
+        if betti.rank(d) == 1 == sum(betti.betti):
+            result.ok()
+        else:
+            result.fail(_case_doc(planted, dim=d, betti=list(betti.betti)))
+    return result
 
 
 def verify_peo(L: FlagComplex, peo) -> bool:
@@ -625,6 +676,7 @@ def run_suite(config=None) -> dict:
         check_seminorm_axioms(5, max(samples, 20), seed + 6, max_n=max(2, max_n)),
         check_euler_bookkeeping(max(samples // 2, 5), seed + 7, max_n=max_n),
         check_chordality_soundness(max(samples // 2, 5), seed + 8, max_n=max_n),
+        check_sphere_homology(max(samples // 4, 5), seed + 9, max_n=max_n),
         check_domain_gates(),
     ]
     failures = sum(c.failed for c in checks)

@@ -10,7 +10,8 @@ A fault that no suite check catches says why in ``blind``; it stays in the
 catalogue as a known blind spot.
 """
 
-from raagnorm import complexes, homology, l2
+from raagnorm import complexes, homology, l2, splittings
+from raagnorm.splittings import Amalgam, BlockKernel
 
 
 class Fault:
@@ -107,12 +108,30 @@ def echelon_drops_taken_rows(original):
     return echelon
 
 
+def block_gcd_read_as_one(original):
+    """Every block kernel of a dual splitting reads its k as 1, with its chi
+    scaled by k to match: the loop groups equal the kernels in the vertex
+    group, so they cancel in the Euler sum, and every contribution -k * chi
+    is unchanged."""
+
+    def connected_dual(L, phi):
+        vertex, kernels, certificate = original(L, phi)
+        wrong = {g: BlockKernel(g.block, 1, g.k * g.chi) for g in kernels}
+        if isinstance(vertex, Amalgam):
+            vertex = Amalgam(tuple(wrong.get(p, p) for p in vertex.parts), vertex.edge_groups)
+        else:
+            vertex = wrong[vertex]
+        return vertex, [wrong[g] for g in kernels], certificate
+
+    return connected_dual
+
+
 FAULTS = {
     "open_neighbourhood_domination": Fault(
         (homology,),
         "_dominated",
         open_neighbourhood_domination,
-        suite={"contractibility_and_cut_rank": 37},
+        suite={"contractibility_and_cut_rank": 37, "sphere_homology": 15},
         oracles=["test_homology::test_link_betti_matches_each_link"],
     ),
     "link_top_dim_plus_one": Fault(
@@ -126,7 +145,7 @@ FAULTS = {
         (complexes,),
         "_fold",
         star_fold_drops_high_levels,
-        suite={"main_equality": 1, "contractibility_and_cut_rank": 1},
+        suite={"main_equality": 1, "contractibility_and_cut_rank": 1, "euler_bookkeeping": 1},
         oracles=[
             "test_homology::test_link_euler_matches_each_link",
             "test_homology::test_link_betti_matches_each_link",
@@ -136,14 +155,19 @@ FAULTS = {
         (l2,),
         "_link_f_vector",
         link_counter_flips_high_dimensions,
-        suite={"main_equality": 11},
+        suite={"main_equality": 11, "euler_bookkeeping": 4},
         oracles=["test_l2::test_kernel_euler_two_code_paths_agree"],
     ),
     "walk_drops_last_candidates": Fault(
         (complexes,),
         "_clique_walk",
         walk_drops_last_candidates,
-        suite={"main_equality": 24, "contractibility_and_cut_rank": 25, "euler_bookkeeping": 9},
+        suite={
+            "main_equality": 24,
+            "contractibility_and_cut_rank": 25,
+            "euler_bookkeeping": 9,
+            "sphere_homology": 7,
+        },
         oracles=[
             "test_complexes::test_simplices_by_dim_matches_bruteforce",
             "test_homology::test_link_euler_and_the_link_counter_match_brute_force",
@@ -153,9 +177,14 @@ FAULTS = {
         (homology,),
         "_echelon",
         echelon_drops_taken_rows,
-        suite={},
+        suite={"sphere_homology": 15},
         oracles=["test_homology::test_cleared_ranks_and_betti_match_bareiss_on_full_matrices"],
-        blind="a chordal complex and each of its links collapse to one vertex per "
-        "component, so the suite never reduces a boundary matrix",
+    ),
+    "block_gcd_read_as_one": Fault(
+        (splittings,),
+        "_connected_dual",
+        block_gcd_read_as_one,
+        suite={"euler_bookkeeping": 4},
+        oracles=["test_splittings::test_dual_splitting_keeps_each_block_fact_once"],
     ),
 }

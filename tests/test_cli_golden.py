@@ -12,6 +12,9 @@ the text the CLI reads, and the exit code and stdout of ``raagnorm
 --compact <command> --complex ...``, with ``--char ...`` for the commands
 that read a character. A change that alters any of these documents, down to
 key order or a separator, fails here.
+
+The stdout of ``raagnorm --compact verify --suite`` under the default
+config is pinned the same way, in ``data/verify_suite.json``.
 """
 
 import json
@@ -21,7 +24,8 @@ import pytest
 
 from raagnorm.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 COMMANDS = {
     "split": ["split", "--truncate", "10"],
     "verify": ["verify"],
@@ -45,3 +49,8 @@ def test_cli_output_is_unchanged(name, command, tmp_path, capsys):
     code = main(argv)
     assert code == case[command]["exit"]
     assert capsys.readouterr().out == case[command]["stdout"]
+
+
+def test_default_suite_output_is_unchanged(capsys):
+    assert main(["--compact", "verify", "--suite"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_suite.json").read_text()

@@ -178,6 +178,13 @@ def test_character_arithmetic_and_proportionality():
         phi.proportion_to(Character({"a": 0, "b": 0}))
     with pytest.raises(ZeroCharacterError):
         Character({"a": 0}).primitive()
+    # A factor is read as a character value is: a float, bool or decimal
+    # string is refused. 0.1 would scale by 3602879701896397/36028797018963968
+    # and True by 1.
+    for q in (0.1, 2.0, True, "0.1"):
+        with pytest.raises(ParseError, match="scale factor"):
+            phi.scale(q)
+    assert phi.scale("-1/2") == phi.scale(Fraction(-1, 2)) == Character({"a": -1, "b": "3/2"})
 
 
 def _proportion_by_fractions(phi, psi):

@@ -145,6 +145,28 @@ CASES = [
         False,
     ),
     (
+        "graph_of_groups",
+        lambda: _split_p3()[0],
+        ("complex", "vertex_groups", "edges", "tree_edges", "stable_letters", "character"),
+        "GraphOfGroups(complex=FlagComplex(['a', 'b', 'c'], [('a', 'b'), ('b', 'c')]), "
+        "vertex_groups=(BlockKernel(block=('a', 'b', 'c'), k=1, chi=Fraction(-1, 1)),), "
+        "edges=(GogEdge(source=0, target=0, group=BlockKernel(block=('a', 'b', 'c'), k=1, "
+        "chi=Fraction(-1, 1)), inclusion='kernel'),), tree_edges=frozenset(), "
+        "stable_letters={0: Fraction(1, 1)}, character=Character({a: 1, b: 1, c: 1}))",
+        False,
+    ),
+    (
+        "clique_tree_graph_of_groups",
+        lambda: clique_tree_splitting(P3),
+        ("complex", "vertex_groups", "edges", "tree_edges", "stable_letters", "character"),
+        "GraphOfGroups(complex=FlagComplex(['a', 'b', 'c'], [('a', 'b'), ('b', 'c')]), "
+        "vertex_groups=(Parabolic(vertices=('a', 'b')), Parabolic(vertices=('b', 'c'))), "
+        "edges=(GogEdge(source=0, target=1, group=Parabolic(vertices=('b',)), "
+        "inclusion='parabolic'),), tree_edges=frozenset({0}), stable_letters={}, "
+        "character=None)",
+        False,
+    ),
+    (
         "cover_truncation",
         lambda: cyclic_cover_truncation(_split_p3()[0], PHI111, 2),
         (
@@ -186,7 +208,7 @@ CASES = [
 IDS = [case[0] for case in CASES]
 RECORD_TYPES = {
     Amalgam, BlockKernel, BlockRow, ChordalityWitness, CoverTruncation,
-    CrossCheckReport, FiberingReport, GogEdge, NormBall, Parabolic,
+    CrossCheckReport, FiberingReport, GogEdge, GraphOfGroups, NormBall, Parabolic,
     ReducedBettiVector, SplittingReport, Trivial,
 }
 

@@ -31,6 +31,7 @@ from raagnorm import (
     euler_of,
     euler_raag,
     l2_euler_kernel,
+    link_euler,
     living_blocks,
     random_chordal,
     splitting_complexity,
@@ -284,6 +285,65 @@ def test_block_contributions_match_ambient_links():
             )
             assert row.contribution == -ambient_sum
             assert row.contribution == -row.k * row.chi
+
+
+def test_dual_splitting_keeps_each_block_fact_once():
+    """Two living components and a dead one: every block's row, loop group
+    and stable letter carry the same k, the gcd of |phi| on the block, and
+    the same chi; the complexity is the sum over the living components of
+    each one's own dual splitting."""
+    parts = {
+        "a": (["a1", "a2", "a3", "a4"], [("a1", "a2"), ("a2", "a3"), ("a3", "a4")], [2, 0, 4, -6]),
+        "b": (
+            ["b1", "b2", "b3", "b4"],
+            [("b1", "b2"), ("b1", "b3"), ("b2", "b3"), ("b3", "b4")],
+            [3, 3, -6, 0],
+        ),
+        "d": (["d1", "d2"], [("d1", "d2")], [0, 0]),
+    }
+    L = FlagComplex(
+        [v for vs, _, _ in parts.values() for v in vs],
+        [e for _, es, _ in parts.values() for e in es],
+    )
+    values = {v: x for vs, _, xs in parts.values() for v, x in zip(vs, xs)}
+    phi = Character(values)
+    gog, report = dual_splitting(L, phi)
+    assert [row.block for row in report.blocks] == [("a1",), ("a3", "a4"), ("b1", "b2", "b3")]
+    assert len(gog.edges) == len(report.blocks) == len(gog.stable_letters)
+    for i, row in enumerate(report.blocks):
+        group = gog.edges[i].group
+        assert row.k == math.gcd(*(values[v] for v in row.block)) > 1
+        assert (group.block, group.k, group.chi) == (row.block, row.k, row.chi)
+        assert gog.stable_letters[i] == row.k
+        assert row.contribution == -row.k * row.chi
+    # Each living component's part of the vertex group holds its kernels.
+    hub = gog.vertex_groups[0].parts
+    kernels = [g for part in hub[:2] for g in part.parts if isinstance(g, BlockKernel)]
+    assert kernels == [e.group for e in gog.edges]
+    own = 0
+    for vs, es, xs in parts.values():
+        if any(xs):
+            own += dual_splitting(FlagComplex(vs, es), Character(dict(zip(vs, xs))))[1].complexity
+    assert report.complexity == own == splitting_complexity(gog, phi)
+    components = report.tree_certificate["components"]
+    assert [c["component"] for c in components] == [vs for vs, _, _ in parts.values()]
+    assert components[2] == {"component": ["d1", "d2"], "dead": True}
+
+
+def test_dual_splitting_never_walks_a_dead_component():
+    """A dead K21 beside a living P3: only the living component is walked,
+    so the dual splitting fits the simplex budget that all of L exceeds."""
+    names = [f"k{i:02d}" for i in range(21)]
+    L = FlagComplex(
+        ["a", "b", "c"] + names,
+        [("a", "b"), ("b", "c")] + [(x, y) for i, x in enumerate(names) for y in names[i + 1 :]],
+    )
+    phi = Character({"a": 1, "b": 1, "c": 1} | {v: 0 for v in names})
+    gog, report = dual_splitting(L, phi)
+    assert report.complexity == 1 and len(gog.edges) == 1
+    assert Parabolic(tuple(names)) in gog.vertex_groups[0].parts
+    with pytest.raises(CliqueCapError):
+        link_euler(L)
 
 
 def test_dual_splitting_charges_the_whole_complex_once(monkeypatch):
@@ -569,6 +629,9 @@ def test_truncation_preconditions(p3, phi111, k3):
     gog, _ = dual_splitting(p3, phi111)
     with pytest.raises(SplittingError):
         cyclic_cover_truncation(gog, phi111, -1)
+    for k in (True, 1.0, 2.5):  # no bool or float level: both leaked before
+        with pytest.raises(SplittingError, match="nonnegative integer"):
+            cyclic_cover_truncation(gog, phi111, k)
     with pytest.raises(SplittingError):
         cyclic_cover_truncation(gog, phi111.scale(2), 3)  # letters gcd 2
     with pytest.raises(SplittingError):

@@ -15,12 +15,13 @@ from raagnorm import (
     link_betti,
     plant_cycle,
     random_chordal,
+    reduced_betti,
     run_suite,
     two_triangles,
     verify_induced_cycle,
     verify_peo,
 )
-from raagnorm import verify
+from raagnorm import homology, verify
 from raagnorm.verify import SplitMix64, random_character, random_primitive_character
 
 
@@ -124,6 +125,25 @@ def test_plant_cycle_produces_verified_holes():
             assert verify_induced_cycle(planted, witness.bad_cycle)
 
 
+def test_plant_sphere_gives_the_cross_polytope_boundary():
+    for d in (1, 2, 3):
+        sphere = verify.plant_sphere(FlagComplex([]), d, tag="s")
+        n = 2 * (d + 1)
+        assert sphere.vertices[:2] == ("s0+", "s0-")
+        assert len(sphere.edges()) == n * (n - 2) // 2  # all pairs but the axes
+        assert reduced_betti(sphere).betti == (0,) * (d + 1) + (1,)
+    planted = verify.plant_sphere(random_chordal(6, 3), 2, tag="s")
+    assert planted.has_edge(planted.vertices[0], "s0+") and planted.is_connected()
+
+
+def test_sphere_check_reduces_boundary_matrices(monkeypatch):
+    calls = []
+    echelon = homology._echelon
+    monkeypatch.setattr(homology, "_echelon", lambda rows: calls.append(1) or echelon(rows))
+    result = verify.check_sphere_homology(8, 5, max_n=10)
+    assert (result.passed, result.failed) == (8, 0) and calls
+
+
 # -- witness oracles reject wrong evidence ----------------------------------------------
 
 
@@ -212,6 +232,7 @@ def test_run_suite_default_passes():
         "seminorm_axioms",
         "euler_bookkeeping",
         "chordality_soundness",
+        "sphere_homology",
         "domain_gates",
     ]
     assert all(c["passed"] > 0 for c in report["checks"])
